@@ -58,28 +58,24 @@ def quadrature_transform(s_ladder, imag_tol=1e-9):
     return s_q.real
 
 
-def interleave_permutation(n_modes):
-    """Permutation P with x_block = P x_interleaved, block order (all I, all Q)."""
-    p = np.zeros((2 * n_modes, 2 * n_modes))
-    for j in range(n_modes):
-        p[j, 2 * j] = 1.0
-        p[n_modes + j, 2 * j + 1] = 1.0
-    return p
-
-
 def mode_rotation(angles):
     """Direct sum of per-mode quadrature rotations, interleaved basis.
 
     Each mode rotates as I' = cos(a) I + sin(a) Q, Q' = -sin(a) I + cos(a) Q.
+    Angles of shape (..., N) give a stack of 2N x 2N matrices; a scalar is
+    one mode.
     """
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    r = np.zeros((2 * angles.size, 2 * angles.size))
-    for j, a in enumerate(angles):
-        c, s = np.cos(a), np.sin(a)
-        r[2 * j, 2 * j] = c
-        r[2 * j, 2 * j + 1] = s
-        r[2 * j + 1, 2 * j] = -s
-        r[2 * j + 1, 2 * j + 1] = c
+    n = angles.shape[-1]
+    c, s = np.cos(angles), np.sin(angles)
+    r = np.zeros(angles.shape[:-1] + (2 * n, 2 * n))
+    flat = r.reshape(angles.shape[:-1] + (4 * n * n,))
+    # consecutive 2 x 2 diagonal blocks lie 4N + 2 apart in the flat matrix
+    step = 4 * n + 2
+    flat[..., 0::step] = c
+    flat[..., 1::step] = s
+    flat[..., 2 * n::step] = -s
+    flat[..., 2 * n + 1::step] = c
     return r
 
 

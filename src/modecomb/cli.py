@@ -863,15 +863,16 @@ def _run_multimode(scfg, out_dir):
     workers = _resolve_workers(scfg, scfg.interval_count)
     rows = _pool_map(one_interval, list(range(scfg.interval_count)), workers)
 
-    labels = [bp.label for bp in all_bipartitions(n_sub)]
     v_rec_mean = CovarianceMatrix(
         n_sub, np.mean([row["v_rec"] for row in rows], axis=0))
     v_hat_mean = CovarianceMatrix(
         n_sub, np.mean([row["v_hat"] for row in rows], axis=0))
+    ppt_lambda = {bp.label: ppt_min_eigenvalue(v_rec_mean, bp)
+                  for bp in all_bipartitions(n_sub)}
 
     table = {"n_intervals": scfg.interval_count, "bipartitions": []}
     sig_w = {}
-    for label, bp in zip(labels, all_bipartitions(n_sub)):
+    for label in ppt_lambda:
         values = [row["values"][label] for row in rows]
         sigmas = [row["sigmas"][label] for row in rows]
         sig_w[label] = significance(values, sigmas)
@@ -879,7 +880,7 @@ def _run_multimode(scfg, out_dir):
             "label": label,
             "svl_mean": float(np.mean(values)),
             "weighted_significance": sig_w[label],
-            "ppt_lambda_mean_state": ppt_min_eigenvalue(v_rec_mean, bp),
+            "ppt_lambda_mean_state": ppt_lambda[label],
             "values": values,
             "sigmas": sigmas,
         })
@@ -899,10 +900,7 @@ def _run_multimode(scfg, out_dir):
         "mode_indices": list(idx),
         "weighted_significance": sig_w,
         "max_weighted_significance": max(sig_w.values()),
-        "ppt_lambda_mean_state": {
-            bp.label: ppt_min_eigenvalue(v_rec_mean, bp)
-            for bp in all_bipartitions(n_sub)
-        },
+        "ppt_lambda_mean_state": ppt_lambda,
         "reconstruction_objective_mean": float(np.mean(objectives)),
         "reconstruction_objective_max": float(np.max(objectives)),
         "intervals_converged": int(sum(row["converged"] for row in rows)),

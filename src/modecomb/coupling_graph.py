@@ -70,19 +70,6 @@ def match_four_wave(modes, pumps, tolerance=None):
     return out
 
 
-def pump_mode_indices(modes, pumps, tolerance=None):
-    """Positions of modes sitting on a pump tone (excluded from probing by default)."""
-    modes = _mode_list(modes)
-    if tolerance is None:
-        tolerance = default_tolerance(modes)
-    hits = set()
-    for pump in pumps:
-        for j, m in enumerate(modes):
-            if abs(m.omega - pump.omega_p) <= tolerance:
-                hits.add(j)
-    return hits
-
-
 def pair_couplings(modes, pumps, mirror, matches):
     """Complex coupling eps_jk per matched pair from the microscopic chain.
 

@@ -10,7 +10,9 @@ data (I1, Q1, I2, Q2, ... ordering, vacuum = identity):
 
 The witness optimum over (h, g) with ||h||^2 + ||g||^2 = 2 is found exactly
 by an eigenvalue construction, after an optional passive rotation that
-removes I-Q cross correlations from the measured frame.
+removes I-Q cross correlations from the measured frame.  Its per-mode angles
+come from damped Newton steps with an analytic gradient and Hessian, run
+from all distinct starts at once.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .bases import symplectic_form
+from .bases import mode_rotation, symplectic_form
 from .errors import (
     DimensionMismatchError,
     MissingFitCovarianceError,
@@ -120,16 +121,41 @@ def ppt_min_eigenvalue(v: CovarianceMatrix, transpose_modes) -> float:
 
 
 def _iq_objective(v, angles):
-    c = np.cos(angles)
-    s = np.sin(angles)
-    # per-mode rotation acting on interleaved quadratures
-    r = np.zeros((2 * len(angles), 2 * len(angles)))
-    r[0::2, 0::2] = np.diag(c)
-    r[0::2, 1::2] = np.diag(s)
-    r[1::2, 0::2] = -np.diag(s)
-    r[1::2, 1::2] = np.diag(c)
-    w = r @ v @ r.T
-    return float(np.sum(w[0::2, 1::2] ** 2)), w
+    """I-Q cross-block energy f = sum(X^2) and the rotated covariance W.
+
+    ``angles`` of shape (..., N) give f of shape (...) and a stack of W.
+    """
+    r = mode_rotation(angles)
+    w = r @ v @ np.swapaxes(r, -1, -2)
+    return np.sum(w[..., 0::2, 1::2] ** 2, axis=(-2, -1)), w
+
+
+def _iq_derivatives(w):
+    """Analytic gradient and Hessian of the I-Q objective at rotated W.
+
+    With the blocks P = W_II, X = W_IQ, Y = W_QI, Q = W_QQ, each angle moves
+    the cross block as dX_ij/dtheta_k = delta_ik Q_ij - delta_jk P_ij, so
+
+        grad_k = 2 (sum_j X_kj Q_kj - sum_i X_ik P_ik)
+        H = 2 J^T J - 2 [(X o Y) + (X o Y)^T]
+            - 2 diag(sum_j X_kj^2 + sum_i X_ik^2)
+
+    where J is that Jacobian and o the element-wise product.  Works on
+    stacks of W.
+    """
+    p = w[..., 0::2, 0::2]
+    x = w[..., 0::2, 1::2]
+    y = w[..., 1::2, 0::2]
+    q = w[..., 1::2, 1::2]
+    grad = 2.0 * (np.sum(x * q, axis=-1) - np.sum(x * p, axis=-2))
+    pq = p * q
+    xy = x * y
+    jtj_diag = np.sum(q**2, axis=-1) + np.sum(p**2, axis=-2)
+    x_diag = np.sum(x**2, axis=-1) + np.sum(x**2, axis=-2)
+    hess = -2.0 * (pq + np.swapaxes(pq, -1, -2) + xy + np.swapaxes(xy, -1, -2))
+    n = w.shape[-1] // 2
+    hess[..., np.arange(n), np.arange(n)] += 2.0 * (jtj_diag - x_diag)
+    return grad, hess
 
 
 def own_iq_angles(v: CovarianceMatrix) -> np.ndarray:
@@ -140,46 +166,101 @@ def own_iq_angles(v: CovarianceMatrix) -> np.ndarray:
     return 0.5 * np.arctan2(2.0 * c, a - b)
 
 
+# Newton iteration of decorrelate_iq.  The gradient tolerance is relative
+# to ||V||_F^2, the scale of f's derivatives.  Levenberg damping is relative
+# to the Hessian's largest |eigenvalue|; once it passes _NEWTON_DAMP_MAX a
+# failed step is a short gradient step, so only rounding is left to gain.
+# f itself is computed to about eps ||X||_F ||V||_F, and _NEWTON_F_ROUNDING
+# scales sqrt(f) ||V||_F into the rise a step may make within that error.
+_NEWTON_GTOL = 1e-12
+_NEWTON_DAMP_START = 1e-1
+_NEWTON_DAMP_MIN = 1e-12
+_NEWTON_DAMP_MAX = 10.0
+_NEWTON_MAX_ITER = 100
+_NEWTON_F_ROUNDING = 1e-12
+# f is pi-periodic in each angle, so longer steps only alias
+_NEWTON_MAX_STEP = 0.25 * np.pi
+
+
+def _iq_starts(v: CovarianceMatrix) -> np.ndarray:
+    """Starting angles, one row each: zero and shifts of ``own_iq_angles``."""
+    n = v.n_modes
+    base = own_iq_angles(v)
+    if n <= 6:
+        # f is pi-periodic in each angle, so {0, pi/2}^n holds every
+        # distinct pi/2 shift of the own-zeroing solution
+        bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        shifts = 0.5 * np.pi * bits
+    else:
+        shifts = np.arange(8)[:, None] * (np.pi / 8.0)
+    return np.vstack([np.zeros(n), base + shifts])
+
+
 def decorrelate_iq(v: CovarianceMatrix):
     """Find per-mode rotation angles minimising the I-Q cross block.
 
     Zeroing each mode's own <IQ> moment pins its angle only modulo pi/2
     (and not at all for isotropic modes), so the remaining freedom is used
-    to suppress inter-mode I-Q correlations as well.  Deterministic: a
-    discrete scan over pi/2 shifts seeds a quasi-Newton polish.
+    to suppress inter-mode I-Q correlations as well: f = ||IQ block||^2 is
+    minimised by damped Newton steps with the analytic gradient and Hessian
+    of ``_iq_derivatives``, from all starts of ``_iq_starts`` at once.  Each
+    start shifts its Hessian to be positive definite (Levenberg damping),
+    accepts a step only where f decreases, or where f stays within its
+    rounding error and the gradient norm halves, and stops once its
+    gradient vanishes or its damping saturates.  The best start wins, its angles reduced modulo pi
+    (f and the witness are pi-periodic per mode) into [-pi/2, pi/2).  Of
+    the two optima related by a pi/2 turn of every mode, the one with
+    tr(II) >= tr(QQ) is returned.  Deterministic.
 
     Returns (rotated CovarianceMatrix, angles, residual) where residual is
     ||IQ block|| / max(||II block||, ||QQ block||) after rotation.
     """
     n = v.n_modes
-    base = own_iq_angles(v)
-
-    candidates = [np.zeros(n), base]
-    if n <= 6:
-        # all pi/2 shifts of the own-zeroing solution stay own-decorrelated
-        shifts = np.array([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi])
-        scored = []
-        for combo in product(range(4), repeat=n):
-            ang = base + shifts[list(combo)]
-            scored.append((_iq_objective(v.v, ang)[0], ang))
-        scored.sort(key=lambda t: t[0])
-        candidates.extend(ang for _, ang in scored[:4])
-    else:
-        for k in range(8):
-            candidates.append(base + k * np.pi / 8.0)
-
-    best_f, best_ang = np.inf, base
-    for start in candidates:
-        res = minimize(
-            lambda ang: _iq_objective(v.v, ang)[0],
-            start,
-            method="BFGS",
-            options={"gtol": 1e-12, "maxiter": 400},
+    theta = _iq_starts(v)
+    f, w = _iq_objective(v.v, theta)
+    grad, hess = _iq_derivatives(w)
+    gnorm = np.linalg.norm(grad, axis=-1)
+    scale = float(np.sum(v.v**2))
+    damp = np.full(theta.shape[0], _NEWTON_DAMP_START)
+    active = gnorm > _NEWTON_GTOL * scale
+    for _ in range(_NEWTON_MAX_ITER):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        e, u = np.linalg.eigh(hess[idx])
+        unit = np.maximum(np.abs(e).max(axis=-1), np.finfo(float).eps * scale)
+        shift = np.maximum(0.0, -e[:, 0]) + damp[idx] * unit
+        coef = np.einsum("bji,bj->bi", u, grad[idx]) / (e + shift[:, None])
+        step = -np.einsum("bij,bj->bi", u, coef)
+        longest = np.abs(step).max(axis=-1, keepdims=True)
+        step *= _NEWTON_MAX_STEP / np.maximum(longest, _NEWTON_MAX_STEP)
+        trial = theta[idx] + step
+        f_trial, w_trial = _iq_objective(v.v, trial)
+        g_trial, h_trial = _iq_derivatives(w_trial)
+        gn_trial = np.linalg.norm(g_trial, axis=-1)
+        # near the optimum f stops resolving Newton's decrease long before
+        # the angles converge; there a step that keeps f within its rounding
+        # is judged by the gradient it leaves
+        level = f[idx] + _NEWTON_F_ROUNDING * np.sqrt(f[idx] * scale)
+        better = (f_trial < f[idx]) | (
+            (f_trial <= level) & (gn_trial <= 0.5 * gnorm[idx])
         )
-        if res.fun < best_f:
-            best_f, best_ang = float(res.fun), np.asarray(res.x)
+        ok, bad = idx[better], idx[~better]
+        theta[ok], f[ok], w[ok] = trial[better], f_trial[better], w_trial[better]
+        grad[ok], hess[ok], gnorm[ok] = g_trial[better], h_trial[better], gn_trial[better]
+        damp[ok] = np.maximum(damp[ok] / 10.0, _NEWTON_DAMP_MIN)
+        damp[bad] *= 100.0
+        active[ok[gnorm[ok] <= _NEWTON_GTOL * scale]] = False
+        active[bad[damp[bad] > _NEWTON_DAMP_MAX]] = False
 
-    best_ang = np.mod(best_ang + np.pi, 2.0 * np.pi) - np.pi
+    best = int(np.argmin(f))
+    best_ang = theta[best]
+    # turning every mode by pi/2 swaps the II and QQ blocks and maps X to
+    # -X^T, so f ties exactly; keep the twin whose I quadratures carry more
+    # variance, as own_iq_angles does per mode
+    if np.trace(w[best, 1::2, 1::2]) > np.trace(w[best, 0::2, 0::2]):
+        best_ang = best_ang + 0.5 * np.pi
+    best_ang = np.mod(best_ang + 0.5 * np.pi, np.pi) - 0.5 * np.pi
     _, w = _iq_objective(v.v, best_ang)
     in_block = max(
         np.linalg.norm(w[0::2, 0::2]), np.linalg.norm(w[1::2, 1::2]), 1e-300

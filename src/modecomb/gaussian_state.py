@@ -60,15 +60,9 @@ class CovarianceMatrix:
     def vacuum(cls, n_modes):
         return cls(n_modes, np.eye(2 * n_modes))
 
-    def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.v)[0])
-
     def min_physicality_eigenvalue(self):
         """Smallest eigenvalue of V + i Omega."""
         return min_physicality_eigenvalue(self.v)
-
-    def is_positive(self, tol=1e-10):
-        return self.min_eigenvalue() >= -tol
 
     def is_physical(self, tol=1e-9):
         return self.min_physicality_eigenvalue() >= -tol
@@ -98,15 +92,6 @@ class CovarianceMatrix:
             writer.writerow(["row"] + labels)
             for i, lab in enumerate(labels):
                 writer.writerow([lab] + [repr(float(x)) for x in self.v[i]])
-
-    @classmethod
-    def from_csv(cls, path):
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        data = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
-        if data.shape[0] % 2:
-            raise DimensionMismatchError("covariance CSV must have an even dimension")
-        return cls(data.shape[0] // 2, data)
 
 
 def thermal_covariance(modes, temperature):

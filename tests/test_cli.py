@@ -4,10 +4,13 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import modecomb
 from modecomb import CalibrationStore
 from modecomb.cli import load_config, main, run_scenario, write_demo_config
 from modecomb.errors import ConfigError
@@ -292,3 +295,15 @@ def test_missing_seed_rejected_for_sampling_pipelines(tmp_path):
 def test_write_demo_config_rejects_unknown(tmp_path):
     with pytest.raises(ConfigError):
         write_demo_config("nonsense", str(tmp_path))
+
+
+def test_python_dash_m_entry_point():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modecomb.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "modecomb", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: modecomb")
+    assert "RuntimeWarning" not in proc.stderr

@@ -1,7 +1,10 @@
 """PPT and optimized-witness entanglement tests with error propagation."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from modecomb import (
@@ -26,7 +29,8 @@ from modecomb import (
     svl_value,
     two_mode_squeezed_covariance,
 )
-from modecomb.bases import mode_rotation
+from modecomb.bases import mode_rotation, symplectic_form
+from modecomb.entanglement import _iq_derivatives, _iq_objective, own_iq_angles
 
 TWO_PI = 2.0 * np.pi
 
@@ -178,12 +182,94 @@ def test_decorrelate_iq_restores_clean_frame():
     v = two_mode_squeezed_covariance(0.7)
     rotated = v.rotate([0.3, -0.5])
     clean, angles, residual = decorrelate_iq(rotated)
-    # quasi-Newton polish with numeric gradients bottoms out around 1e-8
-    assert residual < 1e-7
+    assert residual < 1e-12
     bp = Bipartition((0,), (1,), 2)
     assert svl_test(rotated, bp).value == pytest.approx(
         svl_test(v, bp).value, abs=1e-7
     )
+
+
+def iq_energy(v):
+    return float(np.sum(v[0::2, 1::2] ** 2))
+
+
+def reference_decorrelate_energy(v):
+    """Lowest I-Q energy of a 4^N scan of pi/2 shifts followed by BFGS.
+
+    The earlier implementation of ``decorrelate_iq``, kept as an oracle:
+    the four best scanned shifts of the own-zeroing angles, the zero angles
+    and the own-zeroing angles each seed a finite-difference BFGS polish.
+    """
+    n = v.n_modes
+    base = own_iq_angles(v)
+    shifts = np.array([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi])
+    candidates = [base + shifts[list(c)] for c in product(range(4), repeat=n)]
+    candidates.sort(key=lambda a: iq_energy(v.rotate(a).v))
+    starts = [np.zeros(n), base] + candidates[:4]
+    return min(
+        minimize(lambda a: iq_energy(v.rotate(a).v), start, method="BFGS",
+                 options={"gtol": 1e-12, "maxiter": 400}).fun
+        for start in starts
+    )
+
+
+def rotated_random_states(seed, count):
+    """Random physical states, 2-4 modes, with inter-mode I-Q correlations.
+
+    ``random_physical_state`` is a product of single-mode states, whose I-Q
+    block rotates away exactly; a random symplectic mixes the modes so the
+    decorrelation optimum is nonzero.  A random frame rotation follows.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = 2 + i % 3
+        gen = rng.normal(0.0, 0.3, (2 * n, 2 * n))
+        s = expm(symplectic_form(n) @ (gen + gen.T))
+        v = s @ random_physical_state(rng, n).v @ s.T
+        yield CovarianceMatrix(n, v).rotate(rng.uniform(-np.pi, np.pi, n))
+
+
+def test_decorrelate_iq_never_worse_than_scan_and_bfgs():
+    for v in rotated_random_states(41, 9):
+        clean, angles, residual = decorrelate_iq(v)
+        assert iq_energy(clean.v) <= reference_decorrelate_energy(v) * (1.0 + 1e-9)
+        assert np.all(angles >= -0.5 * np.pi) and np.all(angles < 0.5 * np.pi)
+        in_block = max(np.linalg.norm(clean.v[0::2, 0::2]),
+                       np.linalg.norm(clean.v[1::2, 1::2]))
+        assert residual == pytest.approx(np.sqrt(iq_energy(clean.v)) / in_block,
+                                         rel=1e-12)
+
+
+def test_iq_derivatives_match_central_differences():
+    rng = np.random.default_rng(5)
+    h = 1e-5
+    for v in rotated_random_states(6, 6):
+        n = v.n_modes
+        theta = rng.uniform(-np.pi, np.pi, n)
+        grad, hess = _iq_derivatives(_iq_objective(v.v, theta)[1])
+        steps = h * np.eye(n)
+        f_plus, w_plus = _iq_objective(v.v, theta + steps)
+        f_minus, w_minus = _iq_objective(v.v, theta - steps)
+        scale = np.sum(v.v**2)
+        assert grad == pytest.approx((f_plus - f_minus) / (2 * h), abs=1e-8 * scale)
+        hess_fd = (_iq_derivatives(w_plus)[0] - _iq_derivatives(w_minus)[0]) / (2 * h)
+        assert hess == pytest.approx(hess_fd, abs=1e-8 * scale)
+        assert hess == pytest.approx(hess.T, abs=1e-12 * scale)
+
+
+def test_decorrelate_iq_witness_independent_of_input_frame():
+    rng = np.random.default_rng(12)
+    for v in rotated_random_states(13, 6):
+        phi = rng.uniform(-np.pi, np.pi, v.n_modes)
+        base = all_bipartition_reports(v)
+        turned = all_bipartition_reports(v.rotate(phi))
+        for a, b in zip(base, turned):
+            assert b.value == pytest.approx(a.value, abs=1e-10), a.bipartition.label
+        # the same frame up to the sign of each mode, also among the two
+        # optima that a pi/2 turn of every mode exchanges
+        clean, clean_turned = decorrelate_iq(v)[0].v, decorrelate_iq(v.rotate(phi))[0].v
+        assert np.abs(clean_turned) == pytest.approx(
+            np.abs(clean), abs=1e-9 * np.abs(clean).max())
 
 
 def test_comb_witness_and_ppt_frozen_values():
