@@ -41,12 +41,13 @@ def quadrature_transform(s_ladder, imag_tol=1e-9):
     """Convert a ladder-basis linear transformation to the quadrature basis.
 
     The result of U S U^dag / 2 must be real for a physical (Bogoliubov
-    paired) transformation; a larger imaginary residue raises.
+    paired) transformation; a larger imaginary residue anywhere raises.
+    Leading axes of ``s_ladder`` stack matrices.
     """
     s_ladder = np.asarray(s_ladder, dtype=complex)
-    if s_ladder.ndim != 2 or s_ladder.shape[0] != s_ladder.shape[1] or s_ladder.shape[0] % 2:
+    if s_ladder.ndim < 2 or s_ladder.shape[-1] != s_ladder.shape[-2] or s_ladder.shape[-1] % 2:
         raise DimensionMismatchError("ladder matrix must be square with even dimension")
-    n = s_ladder.shape[0] // 2
+    n = s_ladder.shape[-1] // 2
     u = ladder_to_quadrature_map(n)
     s_q = u @ s_ladder @ u.conj().T / 2.0
     residue = np.max(np.abs(s_q.imag)) if s_q.size else 0.0

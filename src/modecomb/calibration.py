@@ -178,26 +178,24 @@ def c_lineshape(deltas, gain, eps, modes, temperature):
     ``gain`` on both modes, then the cross-block correlation quantity.
     Probing the pair symmetrically at +-delta from the (shifted) resonances
     keeps the pump frame consistent: Delta_1 = delta + i g1/2 and
-    Delta_2 = -delta + i g2/2.
+    Delta_2 = -delta + i g2/2.  All detunings are solved as one stack; the
+    result has the shape of ``deltas``.
     """
     deltas = np.asarray(deltas, dtype=float)
     if len(modes) != 2:
         raise DimensionMismatchError("the correlation lineshape is a two-mode model")
-    out = np.empty(deltas.shape, dtype=float)
     omegas = np.array([m.omega for m in modes])
     gamma_ext = np.array([m.gamma_ext for m in modes])
     gamma_int = np.array([m.gamma_int for m in modes])
     v_th = thermal_covariance(modes, temperature)
     amp = AmplifierModel.uniform(2, max(gain, 1.0), 0.0)
     shift = 2.0 * abs(eps)
-    for i, d in enumerate(deltas.ravel()):
-        probe = omegas - shift + np.array([d, -d])
-        cm = build_coupling_matrix(modes, probe_omegas=probe, couplings={(0, 1): eps})
-        pair = scattering_matrices(cm, gamma_ext, gamma_int).to_quadrature()
-        v = output_covariance(pair, v_th, v_loss=v_th)
-        # the amplifier's added noise is diagonal, so it drops out of C
-        out.ravel()[i] = correlation_quantity(amplify(v, amp))
-    return out
+    probe = omegas - shift + deltas[..., None] * np.array([1.0, -1.0])
+    cm = build_coupling_matrix(modes, probe_omegas=probe, couplings={(0, 1): eps})
+    pair = scattering_matrices(cm, gamma_ext, gamma_int).to_quadrature()
+    v = output_covariance(pair, v_th, v_loss=v_th)
+    # the amplifier's added noise is diagonal, so it drops out of C
+    return np.reshape(correlation_quantity(amplify(v, amp)), deltas.shape)
 
 
 def fit_gain_from_correlations(deltas, c_measured, modes, temperature, p0=None):
@@ -356,15 +354,8 @@ class CalibrationStore:
     sigma_eps: Optional[float] = None
     meta: dict = field(default_factory=dict)
 
-    def amplifier(self, n_modes):
-        return AmplifierModel.uniform(
-            n_modes,
-            self.gain,
-            self.added_photons,
-            sigma_gain=self.sigma_gain,
-            sigma_noise=self.sigma_noise,
-            cov_gain_noise=self.cov_gain_noise,
-        )
+    # same fields as a Planck fit, so the same uniform chain
+    amplifier = PlanckFitResult.amplifier
 
     def to_json(self, path):
         payload = {

@@ -652,24 +652,27 @@ def _couplings_for(scfg, pumps=None, tolerance=None):
 
 
 def _network(scfg, couplings, probe_omegas=None):
-    """Quadrature-basis scattering pair of the configured network."""
+    """Ladder-basis scattering pair of the configured network.
+
+    ``probe_omegas`` of shape (K, N) gives a stack of K networks. A pump
+    above threshold is a config problem unless the config allows it.
+    """
     modes = scfg.system.modes
     gamma_ext = np.array([m.gamma_ext for m in modes])
     gamma_int = np.array([m.gamma_int for m in modes])
     cm = build_coupling_matrix(modes, probe_omegas=probe_omegas,
                                couplings=couplings)
     try:
-        pair = scattering_matrices(cm, gamma_ext, gamma_int,
+        return scattering_matrices(cm, gamma_ext, gamma_int,
                                    allow_unstable=scfg.allow_unstable)
     except UnstablePumpError as exc:
         raise ConfigError(
             f"{exc}; set 'coupling: {{allow_unstable: true}}' to run the "
             f"network above threshold anyway") from exc
-    return pair.to_quadrature()
 
 
 def _output_state(scfg, couplings, probe_omegas=None):
-    pair = _network(scfg, couplings, probe_omegas=probe_omegas)
+    pair = _network(scfg, couplings, probe_omegas=probe_omegas).to_quadrature()
     v_th = thermal_covariance(scfg.system.modes, scfg.temperature)
     return output_covariance(pair, v_th, v_loss=v_th)
 
@@ -728,15 +731,21 @@ def _run_twomode(scfg, out_dir):
     blocks = max(2, 2 * int(round(sec["chop_hz"] * scfg.interval_seconds / 2.0)))
     detunings = sec["detunings"]
 
+    # one stacked network per pump state, one row per detuning
+    deltas = TWO_PI * np.asarray(detunings, dtype=float)
+    probes = np.tile(dressed, (len(detunings), 1))
+    probes[:, pair[0]] += deltas
+    probes[:, pair[1]] -= deltas
+
+    def measured_states(pump_couplings):
+        net = _network(scfg, pump_couplings, probe_omegas=probes).to_quadrature()
+        return amplify(output_covariance(net, v_th, v_loss=v_th), amp).v
+
+    v_on_all, v_off_all = measured_states(couplings), measured_states({})
+
     def one_detuning(d_idx):
-        delta = TWO_PI * detunings[d_idx]
-        probe = dressed.copy()
-        probe[pair[0]] += delta
-        probe[pair[1]] -= delta
-        net_on = _network(scfg, couplings, probe_omegas=probe)
-        net_off = _network(scfg, {}, probe_omegas=probe)
-        v_on = amplify(output_covariance(net_on, v_th, v_loss=v_th), amp)
-        v_off = amplify(output_covariance(net_off, v_th, v_loss=v_th), amp)
+        v_on = CovarianceMatrix(n, v_on_all[d_idx])
+        v_off = CovarianceMatrix(n, v_off_all[d_idx])
         on_parts, off_parts = [], []
         for i in range(scfg.interval_count):
             if scfg.drift_phase:
@@ -1087,7 +1096,7 @@ def _run_scattering(scfg, out_dir):
         pumps = comb_at(spacings[s_idx])
         matches, couplings = _couplings_for(scfg, pumps=pumps, tolerance=tol)
         probes, _ = assign_probe_frequencies(modes, matches, couplings)
-        pair = _network(scfg, couplings, probe_omegas=probes)
+        pair = _network(scfg, couplings, probe_omegas=probes).to_quadrature()
         return len(matches), pair.s
 
     workers = _resolve_workers(scfg, len(spacings))
@@ -1113,16 +1122,7 @@ def _run_scattering(scfg, out_dir):
     pumps = comb_at(spacings[nominal_idx])
     matches, couplings = _couplings_for(scfg, pumps=pumps, tolerance=tol)
     probes, _ = assign_probe_frequencies(modes, matches, couplings)
-    cm = build_coupling_matrix(modes, probe_omegas=probes, couplings=couplings)
-    gamma_ext = np.array([m.gamma_ext for m in modes])
-    gamma_int = np.array([m.gamma_int for m in modes])
-    try:
-        ladder = scattering_matrices(cm, gamma_ext, gamma_int,
-                                     allow_unstable=scfg.allow_unstable)
-    except UnstablePumpError as exc:
-        raise ConfigError(
-            f"{exc}; set 'coupling: {{allow_unstable: true}}' to run the "
-            f"network above threshold anyway") from exc
+    ladder = _network(scfg, couplings, probe_omegas=probes)
     export_db_table(ladder, os.path.join(out_dir, "scattering_matched.csv"),
                     reference=sec["reference"])
     files.append("scattering_matched.csv")

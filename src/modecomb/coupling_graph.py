@@ -111,9 +111,11 @@ class CouplingMatrix:
     ----------
     n_modes : int
     m : ndarray
-        Complex (2N, 2N) matrix with the Bogoliubov block structure.
+        Complex (..., 2N, 2N) matrix with the Bogoliubov block structure;
+        leading axes, if any, stack probe points that share the couplings.
     probe_detunings : ndarray
-        Complex Delta_j per mode; the imaginary part is gamma_tot_j / 2.
+        Complex Delta_j per mode, shape (..., N); the imaginary part is
+        gamma_tot_j / 2.
     couplings : dict
         (j, k) -> complex eps_jk actually placed in the B block.
     """
@@ -124,20 +126,20 @@ class CouplingMatrix:
     couplings: dict = field(default_factory=dict)
 
     def a_block(self):
-        return self.m[: self.n_modes, : self.n_modes]
+        return self.m[..., : self.n_modes, : self.n_modes]
 
     def b_block(self):
-        return self.m[: self.n_modes, self.n_modes :]
+        return self.m[..., : self.n_modes, self.n_modes :]
 
     def structure_residual(self):
         """Max deviation from the [[A, B], [-conj(B), -conj(A)]] structure."""
         n = self.n_modes
         a, b = self.a_block(), self.b_block()
         res = max(
-            np.max(np.abs(self.m[n:, :n] + np.conj(b))),
-            np.max(np.abs(self.m[n:, n:] + np.conj(a))),
-            np.max(np.abs(b - b.T)),
-            np.max(np.abs(a - np.diag(np.diag(a)))),
+            np.max(np.abs(self.m[..., n:, :n] + np.conj(b))),
+            np.max(np.abs(self.m[..., n:, n:] + np.conj(a))),
+            np.max(np.abs(b - np.swapaxes(b, -1, -2))),
+            np.max(np.abs(a * (1.0 - np.eye(n)))),
         )
         return float(res)
 
@@ -177,7 +179,9 @@ def build_coupling_matrix(
     mirror : MirrorSpec, optional
         Needed to derive couplings from pump fluxes.
     probe_omegas : array-like, optional
-        Absolute measurement frequencies Omega_j (rad/s). ``None`` means
+        Absolute measurement frequencies Omega_j (rad/s), shape (N,) or
+        (..., N). Leading axes stack probe points: the matrix gets the same
+        leading axes and every point shares the couplings. ``None`` means
         each mode is probed on its shifted resonance, so Delta_j reduces to
         i gamma_tot_j / 2 exactly.
     matches : list of FourWaveMatch, optional
@@ -210,17 +214,21 @@ def build_coupling_matrix(
         detunings = 0.5j * gamma_tot
     else:
         probe_omegas = np.asarray(probe_omegas, dtype=float)
-        if probe_omegas.shape != (n,):
+        if probe_omegas.ndim == 0 or probe_omegas.shape[-1] != n:
             raise DimensionMismatchError("probe_omegas must have one entry per mode")
         omegas = np.array([m.omega for m in modes])
         detunings = (probe_omegas - omegas + shifts) + 0.5j * gamma_tot
 
-    a = np.diag(detunings.astype(complex))
     b = np.zeros((n, n), dtype=complex)
     for (j, k), eps in couplings.items():
         b[j, k] = -eps
         b[k, j] = -eps
-    m = np.block([[a, b], [-np.conj(b), -np.conj(a)]])
+    zero = np.zeros((n, n), dtype=complex)
+    template = np.block([[zero, b], [-np.conj(b), -np.conj(zero)]])
+    m = np.broadcast_to(template, detunings.shape[:-1] + template.shape).copy()
+    idx = np.arange(n)
+    m[..., idx, idx] = detunings
+    m[..., n + idx, n + idx] = -np.conj(detunings)
     return CouplingMatrix(n, m, detunings, dict(couplings))
 
 

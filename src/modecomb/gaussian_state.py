@@ -40,21 +40,28 @@ def bose_occupation(omega, temperature):
 
 @dataclass
 class CovarianceMatrix:
-    """Real symmetric quadrature covariance matrix, interleaved basis."""
+    """Real symmetric quadrature covariance matrix, interleaved basis.
+
+    ``v`` may carry leading axes that stack matrices (one per probe point);
+    each one is checked for symmetry on its own scale. ``amplify`` and
+    ``correlation_quantity`` take stacks; the other methods take one matrix.
+    """
 
     n_modes: int
     v: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
-        if v.shape != (2 * self.n_modes, 2 * self.n_modes):
+        if v.shape[-2:] != (2 * self.n_modes, 2 * self.n_modes):
             raise DimensionMismatchError(
                 f"covariance must be {2 * self.n_modes} x {2 * self.n_modes}, got {v.shape}"
             )
-        scale = max(1.0, float(np.max(np.abs(v))) if v.size else 1.0)
-        if np.max(np.abs(v - v.T)) > SYMMETRY_RTOL * scale:
+        vt = np.swapaxes(v, -1, -2)
+        # per matrix: max |V - V^T| against max(1, max |V|)
+        asym = np.max(np.abs(v - vt), axis=(-2, -1), initial=0.0)
+        if np.any(asym > SYMMETRY_RTOL * np.max(np.abs(v), axis=(-2, -1), initial=1.0)):
             raise DimensionMismatchError("covariance matrix is not symmetric")
-        self.v = (v + v.T) / 2.0
+        self.v = (v + vt) / 2.0
 
     @classmethod
     def vacuum(cls, n_modes):
@@ -125,7 +132,8 @@ def output_covariance(pair, v_in, v_loss=None):
     """Propagate input and loss-port covariances through a scattering pair.
 
     ``pair`` must already be in the quadrature basis; ``v_loss`` defaults to
-    ``v_in`` (both ports thermalized identically).
+    ``v_in`` (both ports thermalized identically). A stacked pair gives a
+    stacked covariance.
     """
     if pair.basis != "quadrature":
         raise DimensionMismatchError(
@@ -135,7 +143,8 @@ def output_covariance(pair, v_in, v_loss=None):
         v_loss = v_in
     if v_in.n_modes != pair.n_modes or v_loss.n_modes != pair.n_modes:
         raise DimensionMismatchError("covariance and scattering mode counts differ")
-    v = pair.s @ v_in.v @ pair.s.T + pair.s_loss @ v_loss.v @ pair.s_loss.T
+    s, s_loss = pair.s, pair.s_loss
+    v = s @ v_in.v @ np.swapaxes(s, -1, -2) + s_loss @ v_loss.v @ np.swapaxes(s_loss, -1, -2)
     return CovarianceMatrix(pair.n_modes, v)
 
 
@@ -241,14 +250,17 @@ def deamplify(v, amp):
 def correlation_quantity(v):
     """Root-sum-square of the four cross-mode covariance elements (two modes).
 
+    A float for one matrix, an array over the leading axes of a stack.
+
     For an ideal two-mode squeezed state this equals sqrt(2) sinh(2r), and it
     is invariant under local quadrature rotations, so it identifies r
     independently of the squeezing axis.
     """
     if v.n_modes != 2:
         raise DimensionMismatchError("correlation quantity is defined for mode pairs")
-    cross = v.v[:2, 2:]
-    return float(np.sqrt(np.sum(cross**2)))
+    cross = v.v[..., :2, 2:]
+    c = np.sqrt(np.sum(cross**2, axis=(-2, -1)))
+    return float(c) if c.ndim == 0 else c
 
 
 @dataclass

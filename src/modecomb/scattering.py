@@ -29,7 +29,10 @@ SINGULARITY_RTOL = 1e-12
 
 @dataclass
 class ScatteringPair:
-    """Scattering matrix and its loss-port companion in a common basis."""
+    """Scattering matrix and its loss-port companion in a common basis.
+
+    ``s`` and ``s_loss`` are (..., 2N, 2N); leading axes stack probe points.
+    """
 
     s: np.ndarray
     s_loss: np.ndarray
@@ -50,6 +53,9 @@ class ScatteringPair:
 
 def scattering_matrices(cm, gamma_ext, gamma_int, allow_unstable=False):
     """Build (S, S_loss) in the ladder basis from a coupling matrix.
+
+    A stacked coupling matrix (leading axes on ``cm.m``) is checked and
+    solved in one pass and gives stacked scattering matrices.
 
     Parameters
     ----------
@@ -88,16 +94,18 @@ def scattering_matrices(cm, gamma_ext, gamma_int, allow_unstable=False):
                 )
 
     sv = np.linalg.svd(cm.m, compute_uv=False)
-    if sv[-1] <= SINGULARITY_RTOL * sv[0]:
+    if np.any(sv[..., -1] <= SINGULARITY_RTOL * sv[..., 0]):
+        ratio = np.min(sv[..., -1] / sv[..., 0])
         raise SingularMatrixError(
-            f"coupling matrix singular (sigma_min/sigma_max = {sv[-1] / sv[0]:.2e})"
+            f"coupling matrix singular (sigma_min/sigma_max = {ratio:.2e})"
         )
 
-    k_ext = np.diag(np.sqrt(np.concatenate([gamma_ext, gamma_ext])))
-    k_int = np.diag(np.sqrt(np.concatenate([gamma_int, gamma_int])))
-    m_inv = np.linalg.inv(cm.m)
-    s = 1j * k_ext @ m_inv @ k_ext - np.eye(2 * n)
-    s_loss = 1j * k_ext @ m_inv @ k_int
+    # K M^-1 K with diagonal K scales rows and columns of M^-1
+    k_ext = np.sqrt(np.concatenate([gamma_ext, gamma_ext]))
+    k_int = np.sqrt(np.concatenate([gamma_int, gamma_int]))
+    rows = k_ext[:, None] * np.linalg.inv(cm.m)
+    s = 1j * (rows * k_ext) - np.eye(2 * n)
+    s_loss = 1j * (rows * k_int)
     return ScatteringPair(s, s_loss, n, "ladder")
 
 

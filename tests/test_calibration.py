@@ -84,6 +84,19 @@ def test_c_lineshape_even_and_peaked():
     assert np.all(c > 0.0)
 
 
+def test_c_lineshape_keeps_the_shape_of_deltas():
+    deltas = TWO_PI * np.linspace(-60e3, 60e3, 12)
+    line = c_lineshape(deltas, 1e8, TWO_PI * 6e3, PAIR, 0.05)
+    assert line.shape == (12,)
+    assert c_lineshape(deltas[:0], 1e8, TWO_PI * 6e3, PAIR, 0.05).shape == (0,)
+    one = c_lineshape(deltas[3:4], 1e8, TWO_PI * 6e3, PAIR, 0.05)
+    assert one.shape == (1,)
+    assert one[0] == pytest.approx(line[3], rel=1e-12)
+    grid = c_lineshape(deltas.reshape(3, 4), 1e8, TWO_PI * 6e3, PAIR, 0.05)
+    assert grid.shape == (3, 4)
+    assert grid == pytest.approx(line.reshape(3, 4), rel=1e-12)
+
+
 def test_correlation_fit_noiseless_roundtrip():
     deltas = TWO_PI * np.linspace(-60e3, 60e3, 41)
     c = c_lineshape(deltas, 1e8, TWO_PI * 6e3, PAIR, 0.05)

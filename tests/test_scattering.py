@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from modecomb import (
     DimensionMismatchError,
     ModeSpec,
+    SingularMatrixError,
     UnstablePumpError,
     build_coupling_matrix,
+    output_covariance,
     pseudo_unitarity_residual,
     scattering_matrices,
     symplectic_residual,
+    thermal_covariance,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -147,3 +150,75 @@ def test_random_networks_conserve_commutators(n, seed, lossless):
     assert pseudo_unitarity_residual(pair) < 1e-9
     if lossless:
         assert symplectic_residual(pair.to_quadrature().s) < 1e-9
+
+
+def random_stable_network(rng, n):
+    """Modes, couplings at most 0.45 of threshold per mode, and loss arrays."""
+    freqs = 3.8e9 + np.sort(rng.uniform(0.0, 100e6, n))
+    ge = rng.uniform(10e3, 40e3, n)
+    gi = rng.uniform(0.0, 30e3, n)
+    modes = [ModeSpec.from_hz(j, freqs[j], ge[j], gi[j]) for j in range(n)]
+    gtot = TWO_PI * (ge + gi)
+    coup = {}
+    for j in range(n - 1):
+        mag = 0.45 * rng.uniform(0.1, 1.0) * np.sqrt(gtot[j] * gtot[j + 1]) / 4.0
+        coup[(j, j + 1)] = mag * np.exp(1j * rng.uniform(0.0, TWO_PI))
+    return modes, coup, TWO_PI * ge, TWO_PI * gi
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_solve_matches_single_points(seed):
+    """A (K, N) probe stack gives, point by point, the K = 1 results."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 3
+    modes, coup, ge, gi = random_stable_network(rng, n)
+    omegas = np.array([m.omega for m in modes])
+    probes = omegas + TWO_PI * rng.uniform(-80e3, 80e3, (9, n))
+    v_th = thermal_covariance(modes, 0.03)
+
+    cm = build_coupling_matrix(modes, probe_omegas=probes, couplings=coup)
+    assert cm.m.shape == (9, 2 * n, 2 * n)
+    assert cm.structure_residual() < 1e-12
+    stacked = scattering_matrices(cm, ge, gi).to_quadrature()
+    v_stacked = output_covariance(stacked, v_th, v_loss=v_th).v
+    assert v_stacked.shape == (9, 2 * n, 2 * n)
+
+    for k, probe in enumerate(probes):
+        one = build_coupling_matrix(modes, probe_omegas=probe, couplings=coup)
+        pair = scattering_matrices(one, ge, gi).to_quadrature()
+        v = output_covariance(pair, v_th, v_loss=v_th).v
+        for got, want in ((stacked.s[k], pair.s), (stacked.s_loss[k], pair.s_loss),
+                          (v_stacked[k], v)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def threshold_pair_stack(deltas):
+    """A pair pumped exactly at threshold, probed at +-delta; every number is
+    a power of two, so delta = 0 gives an exactly singular coupling matrix."""
+    gamma, eps = 2.0**17, 2.0**16
+    modes = [ModeSpec(0, 2.0**34, gamma, 0.0), ModeSpec(1, 1.5 * 2.0**34, gamma, 0.0)]
+    omegas = np.array([m.omega for m in modes])
+    probes = omegas - 2.0 * eps + np.asarray(deltas)[:, None] * np.array([1.0, -1.0])
+    cm = build_coupling_matrix(modes, probe_omegas=probes, couplings={(0, 1): eps})
+    return cm, np.full(2, gamma), np.zeros(2)
+
+
+def test_singular_point_inside_stack_raises():
+    cm, ge, gi = threshold_pair_stack([-2.0**14, 2.0**13, 2.0**15])
+    pair = scattering_matrices(cm, ge, gi, allow_unstable=True)
+    assert np.all(np.isfinite(pair.s))
+    cm, ge, gi = threshold_pair_stack([-2.0**14, 2.0**13, 0.0, 2.0**15])
+    with pytest.raises(SingularMatrixError):
+        scattering_matrices(cm, ge, gi, allow_unstable=True)
+
+
+def test_unstable_stack_refused_before_any_solve(monkeypatch):
+    cm, ge, gi = threshold_pair_stack(np.linspace(-2.0**15, 2.0**15, 7))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the instability guard")
+
+    monkeypatch.setattr(np.linalg, "svd", no_solve)
+    monkeypatch.setattr(np.linalg, "inv", no_solve)
+    with pytest.raises(UnstablePumpError):
+        scattering_matrices(cm, ge, gi)
