@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.constants import hbar as _HBAR
-from scipy.constants import k as _KB
-from scipy.optimize import brentq, curve_fit
 
+from .constants import hbar as _HBAR
+from .constants import k as _KB
 from .coupling_graph import build_coupling_matrix
 from .errors import (
     DimensionMismatchError,
@@ -137,6 +136,8 @@ def planck_fit(
     def model(t, gain, noise):
         return planck_power(t, gain, noise, frequency, bandwidth)
 
+    from scipy.optimize import curve_fit  # only the fits load scipy
+
     try:
         popt, pcov = curve_fit(
             model,
@@ -223,6 +224,8 @@ def fit_gain_from_correlations(deltas, c_measured, modes, temperature, p0=None):
         c0 = c_lineshape(np.zeros(1), 1.0, e0, modes, temperature)[0]
         g0 = max(float(np.max(c_measured)) / c0, 1.0)
         p0 = (g0, e0)
+
+    from scipy.optimize import curve_fit  # only the fits load scipy
 
     try:
         popt, pcov = curve_fit(
@@ -313,6 +316,8 @@ def ppt_temperature_sweep(v_meas_on, v_off, deltas, c_measured, modes, temperatu
         raise InsufficientDataError("need at least two sweep temperatures")
     if np.any(np.diff(temperatures) <= 0.0):
         raise ValueError("sweep temperatures must be strictly increasing")
+
+    from scipy.optimize import brentq  # only the fits load scipy
 
     from .entanglement import ppt_min_eigenvalue  # local import avoids a cycle
 

@@ -75,7 +75,6 @@ from .gaussian_state import (
     QuadratureSamples,
     amplify,
     deamplify,
-    drift_compensation_angle,
     histogram2d_subtracted,
     output_covariance,
     sample,
@@ -694,25 +693,6 @@ def _resolve_workers(scfg, n_units):
 # twomode pipeline
 
 
-def _combo_ratios(v_on, v_off, pair):
-    """Model squeezing ratios from exact measured-domain covariances.
-
-    Mirrors squeezing_stats on infinite statistics: the common
-    drift-compensation rotation is applied before forming the I_j +- I_k
-    combinations and the single-mode pump-off reference.
-    """
-    j, k = pair
-    angles = np.zeros(v_on.n_modes)
-    angles[j] = angles[k] = drift_compensation_angle(v_on, pair)
-    a = v_on.rotate(angles).v
-    off = v_off.rotate(angles).v
-    plus = a[2 * j, 2 * j] + a[2 * k, 2 * k] + 2 * a[2 * j, 2 * k]
-    minus = a[2 * j, 2 * j] + a[2 * k, 2 * k] - 2 * a[2 * j, 2 * k]
-    low, high = sorted((plus, minus))
-    ref = (off[2 * j, 2 * j] + off[2 * k, 2 * k]) / 2.0
-    return math.sqrt(high / low), math.sqrt(low / ref)
-
-
 def _run_twomode(scfg, out_dir):
     sec = scfg.section
     pair = sec["pair"]
@@ -762,8 +742,8 @@ def _run_twomode(scfg, out_dir):
                 (on_parts if state == "on" else off_parts).append(smp.data)
         on = QuadratureSamples(n, np.vstack(on_parts), "on")
         off = QuadratureSamples(n, np.vstack(off_parts), "off")
-        r_e, r_p = squeezing_stats(on, off, pair, rotate=True)
-        r_e_model, r_p_model = _combo_ratios(v_on, v_off, pair)
+        r_e, r_p = squeezing_stats(on, off, pair)
+        r_e_model, r_p_model = squeezing_stats(v_on, v_off, pair)
         hists = None
         if d_idx in sec["histogram_detunings"]:
             hists = histogram2d_subtracted(on, off, pair,
@@ -1096,8 +1076,7 @@ def _run_scattering(scfg, out_dir):
         pumps = comb_at(spacings[s_idx])
         matches, couplings = _couplings_for(scfg, pumps=pumps, tolerance=tol)
         probes, _ = assign_probe_frequencies(modes, matches, couplings)
-        pair = _network(scfg, couplings, probe_omegas=probes).to_quadrature()
-        return len(matches), pair.s
+        return len(matches), _network(scfg, couplings, probe_omegas=probes).s
 
     workers = _resolve_workers(scfg, len(spacings))
     results = _pool_map(one_spacing, list(range(len(spacings))), workers)

@@ -10,10 +10,10 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import hbar as _HBAR
-from scipy.constants import k as _KB
 
 from .bases import min_physicality_eigenvalue, mode_rotation
+from .constants import hbar as _HBAR
+from .constants import k as _KB
 from .errors import (
     DimensionMismatchError,
     EmptySamplesError,
@@ -44,7 +44,8 @@ class CovarianceMatrix:
 
     ``v`` may carry leading axes that stack matrices (one per probe point);
     each one is checked for symmetry on its own scale. ``amplify`` and
-    ``correlation_quantity`` take stacks; the other methods take one matrix.
+    ``correlation_quantity`` take stacks; the methods take one matrix and
+    raise DimensionMismatchError on a stack.
     """
 
     n_modes: int
@@ -67,30 +68,41 @@ class CovarianceMatrix:
     def vacuum(cls, n_modes):
         return cls(n_modes, np.eye(2 * n_modes))
 
+    def _single(self, method):
+        """The one matrix of ``v``; a stack is refused."""
+        if self.v.ndim != 2:
+            raise DimensionMismatchError(
+                f"{method} takes one covariance matrix, not a stack of shape {self.v.shape}"
+            )
+        return self.v
+
     def min_physicality_eigenvalue(self):
         """Smallest eigenvalue of V + i Omega."""
-        return min_physicality_eigenvalue(self.v)
+        return min_physicality_eigenvalue(self._single("min_physicality_eigenvalue"))
 
     def is_physical(self, tol=1e-9):
         return self.min_physicality_eigenvalue() >= -tol
 
     def submatrix(self, mode_positions):
         """Covariance of a subset of modes, keeping the given order."""
+        v = self._single("submatrix")
         idx = []
         for p in mode_positions:
             if not 0 <= p < self.n_modes:
                 raise DimensionMismatchError(f"mode position {p} out of range")
             idx += [2 * p, 2 * p + 1]
-        return CovarianceMatrix(len(mode_positions), self.v[np.ix_(idx, idx)])
+        return CovarianceMatrix(len(mode_positions), v[np.ix_(idx, idx)])
 
     def rotate(self, angles):
         """Apply per-mode quadrature rotations (drift compensation, decorrelation)."""
+        v = self._single("rotate")
         r = mode_rotation(angles)
-        if r.shape != self.v.shape:
+        if r.shape != v.shape:
             raise DimensionMismatchError("need one rotation angle per mode")
-        return CovarianceMatrix(self.n_modes, r @ self.v @ r.T)
+        return CovarianceMatrix(self.n_modes, r @ v @ r.T)
 
     def to_csv(self, path):
+        v = self._single("to_csv")
         labels = []
         for j in range(self.n_modes):
             labels += [f"I{j}", f"Q{j}"]
@@ -98,7 +110,7 @@ class CovarianceMatrix:
             writer = csv.writer(fh)
             writer.writerow(["row"] + labels)
             for i, lab in enumerate(labels):
-                writer.writerow([lab] + [repr(float(x)) for x in self.v[i]])
+                writer.writerow([lab] + [repr(float(x)) for x in v[i]])
 
 
 def thermal_covariance(modes, temperature):
@@ -346,7 +358,11 @@ def drift_compensation_angle(source, pair):
 
 
 def squeezing_stats(on, off, pair, rotate=True, off_reference="single_mode"):
-    """Squeezing ratios of a mode pair from pump-on and pump-off samples.
+    """Squeezing ratios of a mode pair from pump-on and pump-off covariances.
+
+    ``on`` and ``off`` are CovarianceMatrix objects or QuadratureSamples,
+    which are reduced to their sample covariance first; the model
+    covariance gives the infinite-statistics prediction.
 
     R_e is the ratio of the larger to the smaller standard deviation of the
     two combinations I_j +- I_k (pump on). R_p compares the squeezed
@@ -355,35 +371,35 @@ def squeezing_stats(on, off, pair, rotate=True, off_reference="single_mode"):
     * ``single_mode``: reference is the rms single-mode pump-off amplitude,
       so an ideal two-mode squeezed state over vacuum gives sqrt(2) e^-r;
     * ``difference``: reference is the same +- combination evaluated on the
-      pump-off samples, so identical on/off data gives exactly 1.
+      pump-off state, so identical on/off data gives exactly 1.
 
     When ``rotate`` is set, the drift-compensation rotation that maximizes
-    the pump-on <I_j I_k> correlator is applied to both data sets first.
+    the pump-on <I_j I_k> correlator is applied to both states first.
     """
-    if on.n_samples == 0 or off.n_samples == 0:
-        raise EmptySamplesError("need pump-on and pump-off samples")
     if off_reference not in ("single_mode", "difference"):
         raise ValueError("off_reference must be 'single_mode' or 'difference'")
+    on, off = (x.covariance() if isinstance(x, QuadratureSamples) else x for x in (on, off))
     j, k = pair
     if rotate:
         angles = np.zeros(on.n_modes)
-        alpha = drift_compensation_angle(on, pair)
-        angles[j] = alpha
-        angles[k] = alpha
+        angles[j] = angles[k] = drift_compensation_angle(on, pair)
         on = on.rotate(angles)
         off = off.rotate(angles)
-    i_on_j, i_on_k = on.data[:, 2 * j], on.data[:, 2 * k]
-    i_off_j, i_off_k = off.data[:, 2 * j], off.data[:, 2 * k]
-    combos_on = np.var([i_on_j + i_on_k, i_on_j - i_on_k], axis=1, ddof=1)
+
+    def combos(v):
+        """Variances of I_j + I_k and I_j - I_k."""
+        diag = v[2 * j, 2 * j] + v[2 * k, 2 * k]
+        return np.array([diag + 2 * v[2 * j, 2 * k], diag - 2 * v[2 * j, 2 * k]])
+
+    combos_on = combos(on.v)
     low = int(np.argmin(combos_on))
     if combos_on[low] <= 0:
-        raise ZeroVarianceError("squeezed combination has zero sample variance")
+        raise ZeroVarianceError("squeezed combination has zero variance")
     r_e = float(np.sqrt(combos_on.max() / combos_on[low]))
     if off_reference == "single_mode":
-        ref = (np.var(i_off_j, ddof=1) + np.var(i_off_k, ddof=1)) / 2.0
+        ref = (off.v[2 * j, 2 * j] + off.v[2 * k, 2 * k]) / 2.0
     else:
-        combos_off = np.var([i_off_j + i_off_k, i_off_j - i_off_k], axis=1, ddof=1)
-        ref = combos_off[low]
+        ref = combos(off.v)[low]
     if ref <= 0:
         raise ZeroVarianceError("pump-off reference has zero variance")
     r_p = float(np.sqrt(combos_on[low] / ref))

@@ -21,14 +21,12 @@ once the fast frame rotation is absorbed into the measurement frequencies.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import e as _E_CHARGE
-from scipy.constants import epsilon_0 as _EPS0
-from scipy.constants import hbar as _HBAR
-from scipy.constants import physical_constants as _PHYS
 
+from .constants import e as _E_CHARGE
+from .constants import epsilon_0 as _EPS0
+from .constants import flux_quantum as _PHI0
+from .constants import hbar as _HBAR
 from .errors import DegenerateModeError, DimensionMismatchError
-
-_PHI0 = _PHYS["mag. flux quantum"][0]
 
 # Minimum electrical/mechanical separation for the second-order elimination
 # to stay meaningful, in rad/s.

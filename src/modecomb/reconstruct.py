@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bases import symplectic_form
 from .errors import DimensionMismatchError, NonConvergenceWarning
@@ -110,6 +109,8 @@ def _envelope_test(cut_g, cut_b, lo, hi, iu):
     maximum bounds max_box lambda_min from above.  Returns (s_max, argmax)
     or (None, None) when the LP solver fails.
     """
+    from scipy.optimize import linprog  # only near-tangent instances get here
+
     m = lo.shape[0]
     nv = len(iu[0])
     k = len(cut_g)

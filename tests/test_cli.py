@@ -223,6 +223,28 @@ def test_scattering_pipeline_run(tmp_path):
     assert header[:3] == ["spacing_hz", "n_matches", "out"]
 
 
+def test_scattering_sweep_is_in_the_ladder_basis(tmp_path):
+    report = run_scenario(write_config(tmp_path, SMALL_SCATTERING))
+    out = report.output_dir
+    with open(os.path.join(out, "scattering_sweep.csv"), newline="") as fh:
+        sweep = list(csv.DictReader(fh))
+    with open(os.path.join(out, "scattering_matched.csv"), newline="") as fh:
+        matched = {(r["out"], r["in"]): r for r in csv.DictReader(fh)}
+    # a quadrature-basis S is real: every phase would be 0 or pi
+    phases = np.abs([float(r["phase_rad"]) for r in sweep])
+    assert np.any(np.minimum(phases, np.abs(phases - np.pi)) > 1e-3)
+    m = report.metrics
+    spacings = np.asarray(m["spacings_hz"])
+    nominal = spacings[np.argmin(np.abs(spacings - m["nominal_spacing_hz"]))]
+    row = next(r for r in sweep if float(r["spacing_hz"]) == nominal
+               and (r["out"], r["in"]) == ("b0", "b0"))
+    ref = matched[("b0", "b0")]
+    assert (ref["ref_out"], ref["ref_in"]) == ("b0", "b0")
+    assert float(row["mag_db"]) == pytest.approx(
+        20.0 * np.log10(float(ref["ref_abs"])) + float(ref["mag_db"]), rel=1e-12)
+    assert float(row["phase_rad"]) == float(ref["phase_rad"])
+
+
 def test_report_digest_matches_config(tmp_path):
     path = write_config(tmp_path, SMALL_SCATTERING)
     report = run_scenario(path)

@@ -207,6 +207,51 @@ def test_squeezing_stats_against_ideal_tms():
     assert r_p == pytest.approx(np.sqrt(2.0) * np.exp(-r), rel=0.02)
 
 
+def column_squeezing_ratios(on, off, pair):
+    """R_e, R_p from the variances of rotated sample columns."""
+    j, k = pair
+    angles = np.zeros(on.n_modes)
+    angles[j] = angles[k] = drift_compensation_angle(on, pair)
+    a, b = on.rotate(angles).data, off.rotate(angles).data
+    combos = np.var([a[:, 2 * j] + a[:, 2 * k], a[:, 2 * j] - a[:, 2 * k]], axis=1, ddof=1)
+    ref = (np.var(b[:, 2 * j], ddof=1) + np.var(b[:, 2 * k], ddof=1)) / 2.0
+    return np.sqrt(combos.max() / combos.min()), np.sqrt(combos.min() / ref)
+
+
+def test_squeezing_stats_works_on_sample_covariances():
+    v = amplify(two_mode_squeezed_covariance(0.5, phase=0.3), AmplifierModel.uniform(2, 4.0, 0.2))
+    on = sample(v, 20_000, seed=21)
+    off = sample(amplify(CovarianceMatrix.vacuum(2), AmplifierModel.uniform(2, 4.0, 0.2)),
+                 20_000, seed=22, pump_state="off")
+    for kwargs in ({}, {"rotate": False}, {"off_reference": "difference"}):
+        assert squeezing_stats(on, off, (0, 1), **kwargs) == squeezing_stats(
+            on.covariance(), off.covariance(), (0, 1), **kwargs)
+    r_e, r_p = squeezing_stats(on, off, (0, 1))
+    assert (r_e, r_p) == pytest.approx(column_squeezing_ratios(on, off, (0, 1)), rel=1e-12)
+    with pytest.raises(EmptySamplesError):
+        squeezing_stats(sample(v, 1, seed=1), off, (0, 1))
+
+
+def test_single_matrix_methods_reject_stacks(tmp_path):
+    # 2 modes stacked 4 deep: v has shape (4, 4, 4), so a method that sized
+    # itself from v.shape[0] would take the stack for one 4 x 4 matrix
+    stack = CovarianceMatrix(2, np.stack([two_mode_squeezed_covariance(r).v
+                                          for r in (0.1, 0.2, 0.3, 0.4)]))
+    for call in (
+        stack.min_physicality_eigenvalue,
+        stack.is_physical,
+        lambda: stack.submatrix([1]),
+        lambda: stack.rotate([0.1, 0.2]),
+        lambda: stack.to_csv(tmp_path / "stack.csv"),
+    ):
+        with pytest.raises(DimensionMismatchError, match="stack"):
+            call()
+    assert not (tmp_path / "stack.csv").exists()
+    # the stack-aware functions still take it
+    assert correlation_quantity(stack).shape == (4,)
+    assert amplify(stack, AmplifierModel.uniform(2, 4.0, 0.0)).v.shape == (4, 4, 4)
+
+
 def test_histogram2d_subtracted():
     v = two_mode_squeezed_covariance(0.4)
     on = sample(v, 20_000, seed=3)
