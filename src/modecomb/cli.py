@@ -10,14 +10,15 @@ Pipelines
 ``twomode``
     Pump-probe detuning sweep on one mode pair.  Pump-on and pump-off
     records alternate in chopped blocks; each detuning reports the raw
-    and pump-referenced squeezing ratios and, for selected detunings,
-    background-subtracted 2D quadrature histograms.
+    and pump-referenced squeezing ratios of their pooled sample
+    covariances and, for selected detunings, background-subtracted 2D
+    quadrature histograms of records drawn for them.
 ``multimode``
     Repeated measurement intervals of the full comb output.  Every
-    interval is sampled, de-embedded through the calibrated amplifier,
-    reconstructed to the nearest physical covariance and tested against
-    every bipartition; the per-interval witness values are combined into
-    weighted significances.
+    interval's sample covariance is drawn, de-embedded through the
+    calibrated amplifier, reconstructed to the nearest physical
+    covariance and tested against every bipartition; the per-interval
+    witness values are combined into weighted significances.
 ``calibration``
     Amplification-chain fits: a thermal-sweep power fit and/or a
     correlation-lineshape fit, persisted as a calibration file that the
@@ -46,7 +47,7 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -54,6 +55,7 @@ import numpy as np
 import yaml
 
 from . import calibration as cal
+from .bases import mode_rotation
 from .coupling_graph import (
     assign_probe_frequencies,
     build_coupling_matrix,
@@ -74,16 +76,18 @@ from .gaussian_state import (
     CovarianceMatrix,
     QuadratureSamples,
     amplify,
+    covariance_sem,
     deamplify,
     histogram2d_subtracted,
     output_covariance,
     sample,
+    sample_covariance,
     squeezing_stats,
     thermal_covariance,
 )
 from .modesys import MirrorSpec, ModeSpec, ModeSystem, PumpTone
 from .reconstruct import reconstruct_physical
-from .scattering import export_db_table, scattering_matrices
+from .scattering import export_db_table, magnitude_db, scattering_matrices
 
 TWO_PI = 2.0 * math.pi
 OUT_ROOT_ENV = "MODECOMB_OUT_ROOT"
@@ -203,7 +207,6 @@ class ScenarioConfig:
     pipeline: str
     output_dir: str
     seed: Optional[int]
-    workers: Optional[int]
     system: ModeSystem
     pumps: list
     pump_eps: Optional[list]
@@ -485,7 +488,8 @@ def validate_config(doc, config_path="<config>", digest=""):
                          f"section or switch pipeline (exactly one runs)")
     output_dir = _string(doc, "output_dir", "", required=True)
     seed = _integer(doc, "seed", "", minimum=0)
-    workers = _integer(doc, "workers", "", minimum=1)
+    # accepted so that existing configs load; every pipeline runs serially
+    _integer(doc, "workers", "", minimum=1)
 
     system = _validate_system(doc)
     n_modes = len(system.modes)
@@ -554,7 +558,6 @@ def validate_config(doc, config_path="<config>", digest=""):
         pipeline=pipeline,
         output_dir=output_dir,
         seed=seed,
-        workers=workers,
         system=system,
         pumps=pumps,
         pump_eps=pump_eps,
@@ -676,19 +679,6 @@ def _output_state(scfg, couplings, probe_omegas=None):
     return output_covariance(pair, v_th, v_loss=v_th)
 
 
-def _pool_map(fn, items, workers):
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _resolve_workers(scfg, n_units):
-    if scfg.workers is not None:
-        return max(1, min(scfg.workers, n_units))
-    return max(1, min(os.cpu_count() or 1, n_units, 8))
-
-
 # ---------------------------------------------------------------------------
 # twomode pipeline
 
@@ -723,38 +713,52 @@ def _run_twomode(scfg, out_dir):
 
     v_on_all, v_off_all = measured_states(couplings), measured_states({})
 
-    def one_detuning(d_idx):
-        v_on = CovarianceMatrix(n, v_on_all[d_idx])
-        v_off = CovarianceMatrix(n, v_off_all[d_idx])
-        on_parts, off_parts = [], []
-        for i in range(scfg.interval_count):
-            if scfg.drift_phase:
-                phi = float(np.random.default_rng(
-                    [scfg.seed, 1, d_idx, i]).uniform(0.0, TWO_PI))
-            else:
-                phi = 0.0
+    rows_per_state = scfg.n_samples * (blocks // 2)  # per interval
+
+    def drift_angles(d_idx):
+        """Drift angle of each interval, shared by all of its rows."""
+        if not scfg.drift_phase:
+            return np.zeros(scfg.interval_count)
+        return np.array([
+            np.random.default_rng([scfg.seed, 1, d_idx, i]).uniform(0.0, TWO_PI)
+            for i in range(scfg.interval_count)])
+
+    def records(d_idx, v_on, v_off, phis):
+        """Pooled pump-on and pump-off records of the chopped blocks."""
+        parts = {"on": [], "off": []}
+        for i, phi in enumerate(phis):
             for b in range(blocks):
                 state = "on" if b % 2 == 0 else "off"
                 smp = sample(v_on if state == "on" else v_off, scfg.n_samples,
                              [scfg.seed, 0, d_idx, i, b], pump_state=state)
                 if phi:
                     smp = smp.rotate(np.full(n, phi))
-                (on_parts if state == "on" else off_parts).append(smp.data)
-        on = QuadratureSamples(n, np.vstack(on_parts), "on")
-        off = QuadratureSamples(n, np.vstack(off_parts), "off")
+                parts[state].append(smp.data)
+        return (QuadratureSamples(n, np.vstack(parts[state]), state)
+                for state in ("on", "off"))
+
+    def one_detuning(d_idx):
+        v_on = CovarianceMatrix(n, v_on_all[d_idx])
+        v_off = CovarianceMatrix(n, v_off_all[d_idx])
+        phis = drift_angles(d_idx)
+        r = mode_rotation(np.repeat(phis[:, None], n, axis=1))
+        # one covariance per interval: its rows share the drift angle
+        on, off = (
+            sample_covariance(CovarianceMatrix(n, r @ v.v @ np.swapaxes(r, -1, -2)),
+                              rows_per_state, [scfg.seed, 2, d_idx, state])
+            for state, v in enumerate((v_on, v_off)))
         r_e, r_p = squeezing_stats(on, off, pair)
         r_e_model, r_p_model = squeezing_stats(v_on, v_off, pair)
         hists = None
         if d_idx in sec["histogram_detunings"]:
-            hists = histogram2d_subtracted(on, off, pair,
-                                           bin_width=sec["bin_width"],
+            hists = histogram2d_subtracted(*records(d_idx, v_on, v_off, phis),
+                                           pair, bin_width=sec["bin_width"],
                                            span=sec["span"])
         return {"r_e": r_e, "r_p": r_p, "r_e_model": r_e_model,
                 "r_p_model": r_p_model, "hists": hists,
                 "v_on": v_on, "v_off": v_off}
 
-    workers = _resolve_workers(scfg, len(detunings))
-    rows = _pool_map(one_detuning, list(range(len(detunings))), workers)
+    rows = [one_detuning(d_idx) for d_idx in range(len(detunings))]
 
     files = []
     sweep_path = os.path.join(out_dir, "squeezing_vs_detuning.csv")
@@ -824,33 +828,33 @@ def _run_multimode(scfg, out_dir):
     v_model = amplify(v_out, amp)
 
     def one_interval(i):
-        smp = sample(v_model, scfg.n_samples, [scfg.seed, 0, i], pump_state="on")
+        v_hat = sample_covariance(v_model, scfg.n_samples, [scfg.seed, 0, i])
         if scfg.drift_phase:
             phi = float(np.random.default_rng(
                 [scfg.seed, 1, i]).uniform(0.0, TWO_PI))
-            smp = smp.rotate(np.full(n_sub, phi))
-        v_hat, sem = smp.covariance_with_sem()
-        sigma = propagate_errors(v_hat, amp, sem=sem)
+            v_hat = v_hat.rotate(np.full(n_sub, phi))
+        sigma = propagate_errors(v_hat, amp,
+                                 sem=covariance_sem(v_hat, scfg.n_samples))
         # interval objectives only feed averages, so a loose bisection
         # width keeps the per-interval cost bounded
         rec = reconstruct_physical(deamplify(v_hat, amp), sigma=sigma,
                                    t_width=1e-3, max_iter=30000)
-        # h, g live in the decorrelated frame; the element-wise sigma map is
-        # kept in the lab frame, a second-order mismatch for small angles
         reports = all_bipartition_reports(rec.v)
         for rep in reports:
-            rep.sigma = entanglement_sigma(sigma, rep.h, rep.g)
+            rep.sigma = entanglement_sigma(sigma, rep.h, rep.g, rep.angles)
         return {
             "values": {rep.bipartition.label: rep.value for rep in reports},
             "sigmas": {rep.bipartition.label: rep.sigma for rep in reports},
             "objective": rec.objective,
             "converged": rec.converged,
+            "iq_residual": reports[0].iq_residual,
+            "flags": sorted({f for rep in reports for f in rep.flags}
+                            | set(rec.flags)),
             "v_hat": v_hat.v,
             "v_rec": rec.v.v,
         }
 
-    workers = _resolve_workers(scfg, scfg.interval_count)
-    rows = _pool_map(one_interval, list(range(scfg.interval_count)), workers)
+    rows = [one_interval(i) for i in range(scfg.interval_count)]
 
     v_rec_mean = CovarianceMatrix(
         n_sub, np.mean([row["v_rec"] for row in rows], axis=0))
@@ -874,6 +878,10 @@ def _run_multimode(scfg, out_dir):
             "sigmas": sigmas,
         })
 
+    table["intervals"] = [{"interval": i, "iq_residual": row["iq_residual"],
+                           "flags": row["flags"]} for i, row in enumerate(rows)]
+    flag_counts = Counter(flag for row in rows for flag in row["flags"])
+
     files = []
     _write_json(os.path.join(out_dir, "entanglement_table.json"), table)
     files.append("entanglement_table.json")
@@ -893,6 +901,8 @@ def _run_multimode(scfg, out_dir):
         "reconstruction_objective_mean": float(np.mean(objectives)),
         "reconstruction_objective_max": float(np.max(objectives)),
         "intervals_converged": int(sum(row["converged"] for row in rows)),
+        "intervals_flagged": sum(bool(row["flags"]) for row in rows),
+        "flag_counts": dict(flag_counts),
         "interval_count": scfg.interval_count,
         "n_samples": scfg.n_samples,
     }
@@ -1078,8 +1088,7 @@ def _run_scattering(scfg, out_dir):
         probes, _ = assign_probe_frequencies(modes, matches, couplings)
         return len(matches), _network(scfg, couplings, probe_omegas=probes).s
 
-    workers = _resolve_workers(scfg, len(spacings))
-    results = _pool_map(one_spacing, list(range(len(spacings))), workers)
+    results = [one_spacing(s_idx) for s_idx in range(len(spacings))]
 
     labels = [f"b{j}" for j in range(n)] + [f"bdag{j}" for j in range(n)]
     files = []
@@ -1091,9 +1100,8 @@ def _run_scattering(scfg, out_dir):
         for s, (n_match, s_mat) in zip(spacings, results):
             for r in range(2 * n):
                 for c in range(2 * n):
-                    mag = abs(s_mat[r, c])
                     w.writerow([repr(float(s)), n_match, labels[r], labels[c],
-                                repr(20.0 * math.log10(max(mag, 1e-300))),
+                                repr(float(magnitude_db(s_mat[r, c]))),
                                 repr(float(np.angle(s_mat[r, c])))])
     files.append("scattering_sweep.csv")
 
@@ -1106,7 +1114,7 @@ def _run_scattering(scfg, out_dir):
                     reference=sec["reference"])
     files.append("scattering_matched.csv")
 
-    gains_db = [20.0 * math.log10(max(np.abs(np.diagonal(s_mat)).max(), 1e-300))
+    gains_db = [float(magnitude_db(np.abs(np.diagonal(s_mat)).max()))
                 for _, s_mat in results]
     metrics = {
         "nominal_spacing_hz": nominal,

@@ -470,11 +470,15 @@ def propagate_errors(v_meas: CovarianceMatrix, amp, sem=None) -> np.ndarray:
     return np.sqrt(var)
 
 
-def entanglement_sigma(sigma_matrix, h, g) -> float:
+def entanglement_sigma(sigma_matrix, h, g, angles=None) -> float:
     """Uncertainty of the witness value from per-element sigmas.
 
-    Linear propagation of E through its quadratic forms: the II block
-    couples via h_i h_j, the QQ block via g_i g_j.
+    Linear propagation of E through its quadratic forms: in the frame
+    where h and g were found, E depends on the covariance through
+    tr(C W) with C = h h^T on the II block and g g^T on the QQ block.
+    ``angles`` are the per-mode rotations W = R V R^T from the frame of
+    ``sigma_matrix`` into that frame (``EntanglementReport.angles``), so
+    dE = sum_ij (R^T C R)_ij dV_ij; None means the two frames coincide.
     """
     sigma_matrix = np.asarray(sigma_matrix, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -482,11 +486,13 @@ def entanglement_sigma(sigma_matrix, h, g) -> float:
     n = h.size
     if sigma_matrix.shape != (2 * n, 2 * n) or g.size != n:
         raise DimensionMismatchError("sigma matrix does not match h and g")
-    sii = sigma_matrix[0::2, 0::2]
-    sqq = sigma_matrix[1::2, 1::2]
-    hh = np.outer(h, h)
-    gg = np.outer(g, g)
-    return float(np.sqrt(np.sum(sii**2 * hh**2) + np.sum(sqq**2 * gg**2)))
+    c = np.zeros((2 * n, 2 * n))
+    c[0::2, 0::2] = np.outer(h, h)
+    c[1::2, 1::2] = np.outer(g, g)
+    if angles is not None:
+        r = mode_rotation(angles)
+        c = r.T @ c @ r
+    return float(np.sqrt(np.sum((c * sigma_matrix) ** 2)))
 
 
 def significance(values: Sequence[float], sigmas: Sequence[float]) -> float:

@@ -303,12 +303,10 @@ class QuadratureSamples:
     def covariance_with_sem(self):
         """Sample covariance and the per-element standard error.
 
-        Gaussian moment formula: Var(V_ij) ~= (V_ii V_jj + V_ij^2) / (n - 1).
+        See ``covariance_sem``.
         """
         cm = self.covariance()
-        d = np.diag(cm.v)
-        sem = np.sqrt((np.outer(d, d) + cm.v**2) / (self.n_samples - 1.0))
-        return cm, sem
+        return cm, covariance_sem(cm, self.n_samples)
 
     def rotate(self, angles):
         r = mode_rotation(angles)
@@ -325,22 +323,79 @@ class QuadratureSamples:
                 writer.writerow([repr(float(x)) for x in row])
 
 
+def _psd_root(v):
+    """Symmetric square root of a covariance (or a stack of them).
+
+    Eigenvalues in (-1e-10, 0) are clipped to zero, anything lower raises
+    NotPSDError.
+    """
+    evals, evecs = np.linalg.eigh(v)
+    if np.any(evals[..., 0] < -1e-10):
+        raise NotPSDError(f"covariance eigenvalue {np.min(evals[..., 0]):.3e} below -1e-10")
+    return (evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]) @ np.swapaxes(evecs, -1, -2)
+
+
 def sample(v, n_samples, seed, pump_state="on"):
     """Draw multivariate-normal quadrature records from a covariance matrix.
 
-    Uses the symmetric eigendecomposition square root; eigenvalues in
-    (-1e-10, 0) are clipped to zero, anything lower raises NotPSDError.
+    Uses the symmetric eigendecomposition square root (see ``_psd_root``).
     Identical seeds give identical samples.
     """
     if n_samples <= 0:
         raise EmptySamplesError("n_samples must be positive")
-    evals, evecs = np.linalg.eigh(v.v)
-    if evals[0] < -1e-10:
-        raise NotPSDError(f"covariance eigenvalue {evals[0]:.3e} below -1e-10")
-    root = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
+    root = _psd_root(v.v)
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((int(n_samples), 2 * v.n_modes)) @ root
     return QuadratureSamples(v.n_modes, data, pump_state, None if seed is None else seed)
+
+
+def sample_covariance(v, n_rows, seed):
+    """Sample covariance of simulated records, drawn without the records.
+
+    ``v`` holds one covariance Sigma_i per interval (a single matrix is one
+    interval); each interval contributes ``n_rows`` = m zero-mean Gaussian
+    rows with covariance Sigma_i.  Returns the ddof=1 sample covariance of
+    all K m rows about their grand mean, with exactly the distribution
+    that ``sample`` followed by ``QuadratureSamples.covariance`` gives:
+
+    * the scatter of interval i about its own mean is W_i ~ Wishart(Sigma_i,
+      m - 1), drawn by Bartlett's decomposition L A A^T L^T with L the PSD
+      root of Sigma_i and A lower triangular (d x min(d, m - 1)) with
+      chi-distributed diagonal and standard normals below it;
+    * the interval's row sum is s_i ~ N(0, m Sigma_i);
+    * pooled: (sum W_i + sum s_i s_i^T / m - S S^T / (K m)) / (K m - 1) with
+      S = sum s_i.
+
+    That is d (d + 1) / 2 + d random numbers per interval instead of m d.
+    Identical seeds give identical results.
+    """
+    d = 2 * v.n_modes
+    root = _psd_root(v.v).reshape(-1, d, d)
+    k, m = root.shape[0], int(n_rows)
+    if m < 1 or k * m < 2:
+        raise EmptySamplesError("need at least two rows for a covariance")
+    dof = m - 1
+    r = min(d, dof)
+    rng = np.random.default_rng(seed)
+    a = np.zeros((k, d, r))
+    below = np.tril_indices(d, -1, r)
+    a[:, below[0], below[1]] = rng.standard_normal((k, below[0].size))
+    diag = np.arange(r)
+    a[:, diag, diag] = np.sqrt(rng.chisquare(dof - diag, size=(k, r)))
+    sums = np.sqrt(m) * np.einsum("kij,kj->ki", root, rng.standard_normal((k, d)))
+    la = np.swapaxes(root @ a, 0, 1).reshape(d, k * r)
+    total = sums.sum(axis=0)
+    scatter = la @ la.T + sums.T @ sums / m - np.outer(total, total) / (k * m)
+    return CovarianceMatrix(v.n_modes, scatter / (k * m - 1.0))
+
+
+def covariance_sem(v, n_rows):
+    """Standard error of each element of a sample covariance of n_rows rows.
+
+    Gaussian (Wishart) element variance: Var(V_ij) = (V_ii V_jj + V_ij^2) / (n - 1).
+    """
+    d = np.diag(v.v)
+    return np.sqrt((np.outer(d, d) + v.v**2) / (n_rows - 1.0))
 
 
 def drift_compensation_angle(source, pair):

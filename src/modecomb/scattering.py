@@ -128,6 +128,12 @@ def symplectic_residual(s_quadrature):
     return float(np.max(np.abs(s_quadrature @ omega @ s_quadrature.T - omega)))
 
 
+def magnitude_db(value, reference=1.0):
+    """20 log10(|value| / reference); an exactly zero element is -inf dB."""
+    with np.errstate(divide="ignore"):
+        return 20.0 * np.log10(abs(value) / reference)
+
+
 def export_db_table(pair, path, reference=(0, 0)):
     """Write |S| in dB (relative to an explicit reference element) plus phase.
 
@@ -147,13 +153,11 @@ def export_db_table(pair, path, reference=(0, 0)):
         )
         for i in range(2 * n):
             for j in range(2 * n):
-                mag = abs(pair.s[i, j])
-                db = 20.0 * np.log10(mag / ref_abs) if mag > 0 else -np.inf
                 writer.writerow(
                     [
                         labels[i],
                         labels[j],
-                        repr(float(db)),
+                        repr(float(magnitude_db(pair.s[i, j], ref_abs))),
                         repr(float(np.angle(pair.s[i, j]))),
                         labels[r_out],
                         labels[r_in],

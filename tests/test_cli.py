@@ -194,6 +194,38 @@ def test_multimode_pipeline_run_and_determinism(tmp_path):
                                         "entanglement_table.json")))
     assert len(table["bipartitions"]) == 7
     assert report_a.metrics["intervals_converged"] == 5
+    # quality flags of each interval, counted in the metrics
+    intervals = table["intervals"]
+    assert [row["interval"] for row in intervals] == list(range(5))
+    flagged = [row for row in intervals if row["flags"]]
+    assert report_a.metrics["intervals_flagged"] == len(flagged)
+    counts = report_a.metrics["flag_counts"]
+    assert sum(counts.values()) == sum(len(row["flags"]) for row in intervals)
+    for row in intervals:
+        assert ("iq_residual_above_limit" in row["flags"]) == (row["iq_residual"] > 0.05)
+
+
+def test_twomode_drift_phase_run(tmp_path):
+    cfg = SMALL_TWOMODE.replace("  interval_count: 2\n",
+                                "  interval_count: 2\n  drift_phase: true\n")
+    report = run_scenario(write_config(tmp_path, cfg))
+    m = report.metrics
+    assert all(np.isfinite(m["r_e"])) and min(m["r_e"]) >= 1.0
+    assert "histograms_d01.csv" in report.files
+
+
+def test_workers_key_is_checked_and_has_no_effect(tmp_path):
+    assert main(["validate", str(write_config(
+        tmp_path, SMALL_TWOMODE + "workers: 0\n", name="zero.cfg"))]) == 2
+    digests = []
+    for i, workers in enumerate(("", "workers: 3\n")):
+        out = tmp_path / f"out{i}"
+        report = run_scenario(write_config(tmp_path, SMALL_TWOMODE + workers,
+                                           name=f"w{i}.cfg", out=str(out)))
+        # report.json differs only by the config digest
+        digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in report.files if name != "report.json"})
+    assert digests[0] == digests[1]
 
 
 def test_calibration_pipeline_run(tmp_path):
@@ -243,6 +275,28 @@ def test_scattering_sweep_is_in_the_ladder_basis(tmp_path):
     assert float(row["mag_db"]) == pytest.approx(
         20.0 * np.log10(float(ref["ref_abs"])) + float(ref["mag_db"]), rel=1e-12)
     assert float(row["phase_rad"]) == float(ref["phase_rad"])
+
+
+def test_zero_scattering_elements_read_minus_inf_in_both_tables(tmp_path, monkeypatch):
+    monkeypatch.setenv("MODECOMB_OUT_ROOT", str(tmp_path))
+    report = run_scenario(write_demo_config("scattering", str(tmp_path)))
+    out = report.output_dir
+    with open(os.path.join(out, "scattering_sweep.csv"), newline="") as fh:
+        sweep = list(csv.DictReader(fh))
+    with open(os.path.join(out, "scattering_matched.csv"), newline="") as fh:
+        matched = {(r["out"], r["in"]): r for r in csv.DictReader(fh)}
+    nominal = report.metrics["spacings_hz"][
+        int(np.argmin(np.abs(np.asarray(report.metrics["spacings_hz"])
+                             - report.metrics["nominal_spacing_hz"])))]
+    at_nominal = {(r["out"], r["in"]): r for r in sweep
+                  if float(r["spacing_hz"]) == nominal}
+    # no pump couples b0 to b1: the element is exactly zero
+    assert at_nominal[("b0", "b1")]["mag_db"] == "-inf"
+    assert matched[("b0", "b1")]["mag_db"] == "-inf"
+    ref_db = 20.0 * np.log10(float(matched[("b0", "b0")]["ref_abs"]))
+    for key, row in matched.items():
+        assert float(at_nominal[key]["mag_db"]) == pytest.approx(
+            ref_db + float(row["mag_db"]), rel=1e-12), key
 
 
 def test_report_digest_matches_config(tmp_path):

@@ -272,6 +272,34 @@ def test_decorrelate_iq_witness_independent_of_input_frame():
             np.abs(clean), abs=1e-9 * np.abs(clean).max())
 
 
+def test_witness_sigma_independent_of_input_frame():
+    # A quarter turn of a mode maps (I, Q) to (Q, -I), so the element sigmas
+    # move with their elements and the witness sigma must stay put.  Turning
+    # every mode once makes the input the pi/2 twin of itself; the twin of
+    # the decorrelated frame is also evaluated directly.
+    rng = np.random.default_rng(14)
+    for v in rotated_random_states(15, 6):
+        n = v.n_modes
+        s = np.abs(rng.normal(1.0, 0.5, (2 * n, 2 * n)))
+        s = (s + s.T) / 2.0
+        base = all_bipartition_reports(v)
+        sigmas = [entanglement_sigma(s, rep.h, rep.g, rep.angles) for rep in base]
+        for turns in (rng.integers(0, 4, n), np.ones(n, dtype=int)):
+            perm = np.round(mode_rotation(0.5 * np.pi * turns))  # exact signed permutation
+            v_t = CovarianceMatrix(n, perm @ v.v @ perm.T)
+            s_t = np.abs(perm) @ s @ np.abs(perm).T
+            for sigma, rep in zip(sigmas, all_bipartition_reports(v_t)):
+                got = entanglement_sigma(s_t, rep.h, rep.g, rep.angles)
+                assert got == pytest.approx(sigma, rel=1e-10), rep.bipartition.label
+        twin = base[0].angles + 0.5 * np.pi
+        w_twin = v.rotate(twin)
+        for sigma, rep in zip(sigmas, base):
+            other = svl_test(w_twin, rep.bipartition, decorrelate=False)
+            assert other.value == pytest.approx(rep.value, abs=1e-10)
+            got = entanglement_sigma(s, other.h, other.g, twin)
+            assert got == pytest.approx(sigma, rel=1e-10), rep.bipartition.label
+
+
 def test_comb_witness_and_ppt_frozen_values():
     v = comb_output()
     reports = {rep.bipartition.label: rep for rep in all_bipartition_reports(v)}

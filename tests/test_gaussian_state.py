@@ -13,6 +13,7 @@ from modecomb import (
     GainBelowUnityError,
     ModeSpec,
     NotPSDError,
+    QuadratureSamples,
     amplify,
     bose_occupation,
     build_coupling_matrix,
@@ -22,6 +23,7 @@ from modecomb import (
     histogram2d_subtracted,
     output_covariance,
     sample,
+    sample_covariance,
     scattering_matrices,
     squeezing_stats,
     thermal_covariance,
@@ -174,6 +176,98 @@ def test_sampling_determinism_and_sem():
     bad[0, 0] = -1.0
     with pytest.raises(NotPSDError):
         sample(CovarianceMatrix(2, bad), 10, seed=1)
+
+
+# A fixed 4-mode covariance with every element non-zero, and the common
+# drift angle of each of three intervals.
+_A = np.random.default_rng(2024).normal(size=(8, 8))
+WISHART_V = _A @ _A.T / 8.0 + np.eye(8)
+DRIFT = np.array([0.3, 1.7, 4.0])
+
+
+def drifted(k):
+    """WISHART_V turned by the drift angle of each of the first k intervals."""
+    r = mode_rotation(np.repeat(DRIFT[:k, None], 4, axis=1))
+    return r @ WISHART_V @ np.swapaxes(r, -1, -2)
+
+
+def pooled_moments(sigmas, m):
+    """Closed-form mean and element variance of the pooled sample covariance.
+
+    m zero-mean rows per Sigma_i, ddof=1 about the grand mean of all
+    N = K m rows.  The scatter is X^T C X with C = I - 11^T / N, so
+    Isserlis' theorem gives Var(T_ab) = sum_rs C_rs^2 (S_r,aa S_s,bb +
+    S_r,ab S_s,ab); K = 1 is the Wishart (V_aa V_bb + V_ab^2) / (m - 1).
+    """
+    k, n = sigmas.shape[0], sigmas.shape[0] * m
+    d = np.diagonal(sigmas, axis1=-2, axis2=-1)
+    within = np.sum(d[:, :, None] * d[:, None, :] + sigmas**2, axis=0)
+    b = sigmas.sum(axis=0)
+    between = np.outer(np.diag(b), np.diag(b)) + b**2
+    return sigmas.mean(axis=0), ((1 - 2 / n) * m * within + between / k**2) / (n - 1) ** 2
+
+
+def pooled_trace_variance(sigmas, m, p):
+    """Var tr(P V_hat) in the setting of ``pooled_moments``, P symmetric.
+
+    Var tr(P T) = 2 sum_rs C_rs^2 tr(P S_r P S_s).
+    """
+    k, n = sigmas.shape[0], sigmas.shape[0] * m
+    ps = p @ sigmas
+    pb = p @ sigmas.sum(axis=0)
+    within = np.einsum("kij,kji->", ps, ps)
+    return 2.0 * ((1 - 2 / n) * m * within + np.trace(pb @ pb) / k**2) / (n - 1) ** 2
+
+
+@pytest.mark.parametrize("k, m", [(1, 5), (1, 40), (3, 6)])
+@pytest.mark.parametrize("path", ["records", "draw"])
+def test_sample_covariance_has_the_distribution_of_records(path, k, m):
+    # "records": sample + np.cov, the K intervals' drift-rotated rows
+    # stacked; "draw": one sample_covariance call on the K rotated
+    # covariances.  m = 5 < 8 rows also covers the singular Wishart.
+    sigmas = drifted(k)
+    seeds = range(400)
+    if path == "draw":
+        v = CovarianceMatrix(4, sigmas if k > 1 else sigmas[0])
+        x = np.array([sample_covariance(v, m, [s]).v for s in seeds])
+    else:
+        v = CovarianceMatrix(4, WISHART_V)
+        x = np.array([QuadratureSamples(4, np.vstack([
+            sample(v, m, [s, i]).rotate(np.full(4, DRIFT[i])).data for i in range(k)
+        ])).covariance().v for s in seeds])
+    mean, var = pooled_moments(sigmas, m)
+    iu = np.triu_indices(8)
+    z = (x.mean(axis=0) - mean) / np.sqrt(var / len(seeds))
+    ratio = x.var(axis=0, ddof=1) / var
+    # tr(mean^-1 V_hat) has mean 8 exactly and a small spread, so it sees a
+    # bias of mean / (K m - 1), such as a scatter taken about zero instead
+    # of the grand mean or a Wishart with m instead of m - 1 degrees of
+    # freedom, at 10 or more standard errors.
+    p = np.linalg.inv(mean)
+    t = np.einsum("ij,sji->s", p, x)
+    t_var = pooled_trace_variance(sigmas, m, p)
+    z_t = (t.mean() - 8.0) / np.sqrt(t_var / len(seeds))
+    # Over 30 other sets of 400 seeds, both paths and all three (k, m):
+    # max |z| <= 3.9, median ratio 0.93-1.07, |z_t| <= 3.3, and
+    # var(t) / t_var 0.81-1.17.
+    assert np.abs(z[iu]).max() < 5.0
+    assert 0.85 < np.median(ratio[iu]) < 1.15
+    assert abs(z_t) < 5.0
+    assert 0.7 < t.var(ddof=1) / t_var < 1.4
+
+
+def test_sample_covariance_seeds_and_checks():
+    v = CovarianceMatrix(4, WISHART_V)
+    a = sample_covariance(v, 1000, [3, 1]).v
+    assert np.array_equal(a, sample_covariance(v, 1000, [3, 1]).v)
+    assert not np.array_equal(a, sample_covariance(v, 1000, [3, 2]).v)
+    assert sample_covariance(CovarianceMatrix(4, drifted(3)), 10, 0).v.shape == (8, 8)
+    with pytest.raises(EmptySamplesError):
+        sample_covariance(v, 1, seed=1)
+    bad = np.eye(4)
+    bad[0, 0] = -1.0
+    with pytest.raises(NotPSDError):
+        sample_covariance(CovarianceMatrix(2, np.stack([np.eye(4), bad])), 10, seed=1)
 
 
 def test_drift_compensation_angle_recovery():
