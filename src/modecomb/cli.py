@@ -41,21 +41,18 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
-import hashlib
 import json
 import math
 import os
-import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
-import yaml
 
 from . import calibration as cal
 from .bases import mode_rotation
+from .config import TWO_PI, load_config, validate_config
 from .coupling_graph import (
     assign_probe_frequencies,
     build_coupling_matrix,
@@ -85,496 +82,9 @@ from .gaussian_state import (
     squeezing_stats,
     thermal_covariance,
 )
-from .modesys import MirrorSpec, ModeSpec, ModeSystem, PumpTone
+from .modesys import PumpTone
 from .reconstruct import reconstruct_physical
 from .scattering import export_db_table, magnitude_db, scattering_matrices
-
-TWO_PI = 2.0 * math.pi
-OUT_ROOT_ENV = "MODECOMB_OUT_ROOT"
-PIPELINES = ("twomode", "multimode", "calibration", "scattering")
-
-
-class _ConfigLoader(yaml.SafeLoader):
-    """SafeLoader that also reads exponent floats like 8.0e9 and 1e-3."""
-
-
-_ConfigLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(
-        r"""^(?:[-+]?(?:[0-9][0-9_]*)\.[0-9_]*(?:[eE][-+]?[0-9]+)?
-         |[-+]?(?:[0-9][0-9_]*)(?:[eE][-+]?[0-9]+)
-         |[-+]?\.[0-9_]+(?:[eE][-+]?[0-9]+)?
-         |[-+]?\.(?:inf|Inf|INF)
-         |\.(?:nan|NaN|NAN))$""",
-        re.X,
-    ),
-    list("-+0123456789."),
-)
-
-
-# ---------------------------------------------------------------------------
-# Config loading and validation.  Every check raises ConfigError with the
-# dotted path of the offending field so a bad file is diagnosable without
-# reading tracebacks.
-
-
-def _fail(path, message):
-    raise ConfigError(f"config field '{path}': {message}")
-
-
-def _section(mapping, key, path, required=False):
-    value = mapping.get(key)
-    if value is None:
-        if required:
-            _fail(f"{path}.{key}" if path else key, "section is required")
-        return {}
-    if not isinstance(value, dict):
-        _fail(f"{path}.{key}" if path else key, "expected a mapping")
-    return value
-
-
-def _number(mapping, key, path, default=None, required=False, minimum=None,
-            positive=False):
-    value = mapping.get(key)
-    where = f"{path}.{key}" if path else key
-    if value is None:
-        if required:
-            _fail(where, "value is required")
-        return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(where, f"expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        _fail(where, "value must be finite")
-    if positive and value <= 0:
-        _fail(where, f"value must be positive, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(where, f"value must be >= {minimum}, got {value!r}")
-    return value
-
-
-def _integer(mapping, key, path, default=None, required=False, minimum=None):
-    value = mapping.get(key)
-    where = f"{path}.{key}" if path else key
-    if value is None:
-        if required:
-            _fail(where, "value is required")
-        return default
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(where, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(where, f"value must be >= {minimum}, got {value!r}")
-    return int(value)
-
-
-def _boolean(mapping, key, path, default=False):
-    value = mapping.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, bool):
-        _fail(f"{path}.{key}" if path else key,
-              f"expected true or false, got {value!r}")
-    return value
-
-
-def _string(mapping, key, path, default=None, required=False, choices=None):
-    value = mapping.get(key)
-    where = f"{path}.{key}" if path else key
-    if value is None:
-        if required:
-            _fail(where, "value is required")
-        return default
-    if not isinstance(value, str):
-        _fail(where, f"expected a string, got {value!r}")
-    if choices is not None and value not in choices:
-        _fail(where, f"expected one of {sorted(choices)}, got {value!r}")
-    return value
-
-
-def _mode_index(value, where, n_modes):
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(where, f"expected a mode index, got {value!r}")
-    if value < 0 or value >= n_modes:
-        _fail(where, f"mode index {value} does not exist "
-                     f"(system defines modes 0..{n_modes - 1})")
-    return int(value)
-
-
-@dataclass
-class ScenarioConfig:
-    """Validated scenario with resolved physical objects."""
-
-    pipeline: str
-    output_dir: str
-    seed: Optional[int]
-    system: ModeSystem
-    pumps: list
-    pump_eps: Optional[list]
-    tolerance: Optional[float]
-    allow_unstable: bool
-    temperature: float
-    amplifier: Optional[cal.CalibrationStore]
-    n_samples: int
-    interval_count: int
-    interval_seconds: float
-    drift_phase: bool
-    probe_indices: list
-    section: dict
-    config_path: str
-    digest: str
-
-
-def load_config(path):
-    """Raw YAML document of a scenario file."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    try:
-        doc = yaml.load(raw, Loader=_ConfigLoader)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config file {path!r} is not valid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path!r} must contain a mapping at top level")
-    return doc, hashlib.sha256(raw).hexdigest()
-
-
-def _validate_system(doc):
-    system = _section(doc, "system", "", required=True)
-    mirror_map = _section(system, "mirror", "system", required=True)
-    freq_lc = _number(mirror_map, "freq_lc_hz", "system.mirror", required=True,
-                      positive=True)
-    g_vac = _number(mirror_map, "coupling_vac_hz", "system.mirror", required=True,
-                    positive=True)
-    mirror = MirrorSpec.from_hz(freq_lc, g_vac)
-
-    raw_modes = system.get("modes")
-    if not isinstance(raw_modes, list) or not raw_modes:
-        _fail("system.modes", "expected a non-empty list of mode mappings")
-    specs = []
-    for pos, entry in enumerate(raw_modes):
-        where = f"system.modes[{pos}]"
-        if not isinstance(entry, dict):
-            _fail(where, "expected a mapping")
-        idx = _integer(entry, "index", where, default=pos, minimum=0)
-        freq = _number(entry, "freq_hz", where, required=True, positive=True)
-        loss_ext = _number(entry, "loss_ext_hz", where, required=True, minimum=0.0)
-        loss_int = _number(entry, "loss_int_hz", where, required=True, minimum=0.0)
-        specs.append(ModeSpec.from_hz(idx, freq, loss_ext, loss_int))
-    indices = sorted(m.index for m in specs)
-    if indices != list(range(len(specs))):
-        _fail("system.modes", f"mode indices must be 0..{len(specs) - 1} "
-                              f"without gaps, got {indices}")
-    specs.sort(key=lambda m: m.index)
-    return ModeSystem(tuple(specs), mirror)
-
-
-def _validate_pumps(doc, n_modes):
-    raw = doc.get("pumps")
-    if raw is None:
-        return [], None
-    if not isinstance(raw, list):
-        _fail("pumps", "expected a list of pump mappings")
-    pumps = []
-    eps_values = []
-    for pos, entry in enumerate(raw):
-        where = f"pumps[{pos}]"
-        if not isinstance(entry, dict):
-            _fail(where, "expected a mapping")
-        freq = _number(entry, "freq_hz", where, required=True, positive=True)
-        flux = _number(entry, "flux_phi0", where, default=0.0, minimum=0.0)
-        theta = _number(entry, "theta_rad", where, default=0.0)
-        if flux >= 0.5:
-            _fail(f"{where}.flux_phi0", "flux amplitude must stay below half "
-                                        "a flux quantum")
-        pumps.append(PumpTone.from_hz(freq, phi_ac=flux, theta=theta))
-        eps_values.append(_number(entry, "epsilon_hz", where, positive=True))
-    given = [e is not None for e in eps_values]
-    if any(given) and not all(given):
-        pos = given.index(False)
-        _fail(f"pumps[{pos}].epsilon_hz",
-              "explicit coupling strengths must be given on all pumps or none")
-    pump_eps = [TWO_PI * e for e in eps_values] if all(given) and pumps else None
-    return pumps, pump_eps
-
-
-def _validate_amplifier(doc):
-    amp_map = doc.get("amplifier")
-    if amp_map is None:
-        return None
-    if not isinstance(amp_map, dict):
-        _fail("amplifier", "expected a mapping")
-    path = _string(amp_map, "calibration_json", "amplifier")
-    if path is not None:
-        extra = sorted(set(amp_map) - {"calibration_json"})
-        if extra:
-            _fail("amplifier", f"calibration_json replaces inline values; "
-                               f"remove {extra}")
-        try:
-            return cal.CalibrationStore.from_json(path)
-        except (OSError, ValueError, TypeError, KeyError) as exc:
-            _fail("amplifier.calibration_json",
-                  f"cannot load calibration from {path!r}: {exc}")
-    gain_db = _number(amp_map, "gain_db", "amplifier")
-    gain_lin = _number(amp_map, "gain_linear", "amplifier", positive=True)
-    if (gain_db is None) == (gain_lin is None):
-        _fail("amplifier", "give exactly one of gain_db or gain_linear")
-    gain = 10.0 ** (gain_db / 10.0) if gain_db is not None else gain_lin
-    if gain < 1.0:
-        _fail("amplifier", f"power gain must be >= 1, got {gain!r}")
-    added = _number(amp_map, "added_photons", "amplifier", required=True,
-                    minimum=0.0)
-    sigma_gain_rel = _number(amp_map, "sigma_gain_rel", "amplifier",
-                             default=0.0, minimum=0.0)
-    sigma_noise = _number(amp_map, "sigma_noise_photons", "amplifier",
-                          default=0.0, minimum=0.0)
-    cov_gn = _number(amp_map, "cov_gain_noise", "amplifier", default=0.0)
-    return cal.CalibrationStore(
-        gain=gain,
-        added_photons=added,
-        sigma_gain=sigma_gain_rel * gain,
-        sigma_noise=sigma_noise,
-        cov_gain_noise=cov_gn,
-    )
-
-
-def _validate_twomode(doc, n_modes):
-    sec = _section(doc, "twomode", "")
-    raw_pair = sec.get("pair", [0, 1])
-    if not isinstance(raw_pair, list) or len(raw_pair) != 2:
-        _fail("twomode.pair", f"expected a list of two mode indices, got {raw_pair!r}")
-    pair = tuple(_mode_index(v, f"twomode.pair[{i}]", n_modes)
-                 for i, v in enumerate(raw_pair))
-    if pair[0] == pair[1]:
-        _fail("twomode.pair", "the two mode indices must differ")
-    start = _number(sec, "detuning_start_hz", "twomode", default=-40.0e3)
-    stop = _number(sec, "detuning_stop_hz", "twomode", default=40.0e3)
-    count = _integer(sec, "detuning_count", "twomode", default=9, minimum=1)
-    chop_hz = _number(sec, "chop_hz", "twomode", default=2.0, positive=True)
-    bin_width = _number(sec, "histogram_bin", "twomode", default=0.25,
-                        positive=True)
-    span = _number(sec, "histogram_span", "twomode", default=6.0, positive=True)
-    raw_hist = sec.get("histogram_detunings", [count // 2])
-    if not isinstance(raw_hist, list):
-        _fail("twomode.histogram_detunings", "expected a list of sweep indices")
-    hist_idx = []
-    for i, v in enumerate(raw_hist):
-        where = f"twomode.histogram_detunings[{i}]"
-        if isinstance(v, bool) or not isinstance(v, int):
-            _fail(where, f"expected an integer sweep index, got {v!r}")
-        if v < 0 or v >= count:
-            _fail(where, f"sweep index {v} outside 0..{count - 1}")
-        hist_idx.append(v)
-    return {
-        "pair": pair,
-        "detunings": np.linspace(start, stop, count),
-        "chop_hz": chop_hz,
-        "bin_width": bin_width,
-        "span": span,
-        "histogram_detunings": sorted(set(hist_idx)),
-    }
-
-
-def _validate_calibration(doc, n_modes, seed):
-    sec = _section(doc, "calibration", "")
-    planck = _section(sec, "planck", "calibration")
-    corr = _section(sec, "correlation", "calibration")
-    if not planck and not corr:
-        _fail("calibration", "give a planck and/or a correlation subsection")
-    out = {}
-    needs_seed = False
-    if planck:
-        where = "calibration.planck"
-        data_csv = _string(planck, "data_csv", where)
-        freq = _number(planck, "freq_hz", where, required=True, positive=True)
-        entry = {
-            "freq_hz": freq,
-            "bandwidth_hz": _number(planck, "bandwidth_hz", where, default=1.0,
-                                    positive=True),
-        }
-        if data_csv is not None:
-            entry["data_csv"] = data_csv
-        else:
-            entry["gain_db"] = _number(planck, "gain_db", where, required=True)
-            entry["added_photons"] = _number(planck, "added_photons", where,
-                                             required=True, minimum=0.0)
-            entry["temp_start_k"] = _number(planck, "temp_start_k", where,
-                                            default=0.01, positive=True)
-            entry["temp_stop_k"] = _number(planck, "temp_stop_k", where,
-                                           default=4.0, positive=True)
-            entry["temp_count"] = _integer(planck, "temp_count", where,
-                                           default=20, minimum=3)
-            entry["temp_spacing"] = _string(planck, "temp_spacing", where,
-                                            default="geometric",
-                                            choices=("geometric", "linear"))
-            entry["noise_rel"] = _number(planck, "noise_rel", where,
-                                         default=0.01, minimum=0.0)
-            needs_seed = needs_seed or entry["noise_rel"] > 0
-        out["planck"] = entry
-    if corr:
-        where = "calibration.correlation"
-        data_csv = _string(corr, "data_csv", where)
-        raw_pair = corr.get("pair", [0, 1])
-        if not isinstance(raw_pair, list) or len(raw_pair) != 2:
-            _fail(f"{where}.pair", "expected a list of two mode indices")
-        pair = tuple(_mode_index(v, f"{where}.pair[{i}]", n_modes)
-                     for i, v in enumerate(raw_pair))
-        if pair[0] == pair[1]:
-            _fail(f"{where}.pair", "the two mode indices must differ")
-        entry = {
-            "pair": pair,
-            "gain_db": _number(corr, "gain_db", where, required=True),
-            "eps_hz": _number(corr, "eps_hz", where, required=True,
-                              positive=True),
-        }
-        if data_csv is not None:
-            entry["data_csv"] = data_csv
-        else:
-            entry["span_hz"] = _number(corr, "span_hz", where, default=120.0e3,
-                                       positive=True)
-            entry["count"] = _integer(corr, "count", where, default=41,
-                                      minimum=5)
-            entry["noise_rel"] = _number(corr, "noise_rel", where, default=0.0,
-                                         minimum=0.0)
-            needs_seed = needs_seed or entry["noise_rel"] > 0
-        out["correlation"] = entry
-    if needs_seed and seed is None:
-        _fail("seed", "a seed is required when calibration data is "
-                      "synthesized with noise")
-    return out
-
-
-def _validate_scattering(doc, n_modes, n_pumps):
-    sec = _section(doc, "scattering", "")
-    if n_pumps < 2:
-        _fail("pumps", "the scattering sweep rescales the pump comb and "
-                       "needs at least two pumps")
-    start = _number(sec, "spacing_start_hz", "scattering", positive=True)
-    stop = _number(sec, "spacing_stop_hz", "scattering", positive=True)
-    if (start is None) != (stop is None):
-        _fail("scattering", "give both spacing_start_hz and spacing_stop_hz "
-                            "or neither")
-    count = _integer(sec, "spacing_count", "scattering", default=25, minimum=1)
-    ref_out = _integer(sec, "ref_out", "scattering", default=0, minimum=0)
-    ref_in = _integer(sec, "ref_in", "scattering", default=0, minimum=0)
-    for name, val in (("ref_out", ref_out), ("ref_in", ref_in)):
-        if val >= 2 * n_modes:
-            _fail(f"scattering.{name}",
-                  f"scattering index {val} outside 0..{2 * n_modes - 1}")
-    tol = _number(sec, "tolerance_hz", "scattering", positive=True)
-    return {
-        "spacing_start_hz": start,
-        "spacing_stop_hz": stop,
-        "spacing_count": count,
-        "reference": (ref_out, ref_in),
-        "tolerance_hz": tol,
-    }
-
-
-def validate_config(doc, config_path="<config>", digest=""):
-    """Check a raw scenario document and resolve it to a ScenarioConfig."""
-    known = {"pipeline", "output_dir", "seed", "workers", "system", "pumps",
-             "coupling", "environment", "amplifier", "sampling", "probes",
-             "twomode", "multimode", "calibration", "scattering"}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        _fail(unknown[0], "unknown top-level section")
-
-    pipeline = _string(doc, "pipeline", "", required=True, choices=PIPELINES)
-    for other in PIPELINES:
-        if other != pipeline and other in doc and doc[other]:
-            _fail(other, f"pipeline is {pipeline!r}; remove the {other!r} "
-                         f"section or switch pipeline (exactly one runs)")
-    output_dir = _string(doc, "output_dir", "", required=True)
-    seed = _integer(doc, "seed", "", minimum=0)
-    # accepted so that existing configs load; every pipeline runs serially
-    _integer(doc, "workers", "", minimum=1)
-
-    system = _validate_system(doc)
-    n_modes = len(system.modes)
-    pumps, pump_eps = _validate_pumps(doc, n_modes)
-
-    coupling = _section(doc, "coupling", "")
-    tol_hz = _number(coupling, "tolerance_hz", "coupling", positive=True)
-    allow_unstable = _boolean(coupling, "allow_unstable", "coupling")
-
-    environment = _section(doc, "environment", "")
-    temperature = _number(environment, "temp_k", "environment", default=0.0,
-                          minimum=0.0)
-
-    amplifier = _validate_amplifier(doc)
-
-    sampling = _section(doc, "sampling", "")
-    n_samples = _integer(sampling, "n_samples", "sampling", default=100000,
-                         minimum=2)
-    interval_count = _integer(sampling, "interval_count", "sampling",
-                              default=75, minimum=1)
-    interval_seconds = _number(sampling, "interval_seconds", "sampling",
-                               default=2.0, positive=True)
-    drift_phase = _boolean(sampling, "drift_phase", "sampling")
-
-    probes = _section(doc, "probes", "")
-    raw_idx = probes.get("mode_indices")
-    if raw_idx is None:
-        probe_indices = list(range(n_modes))
-    else:
-        if not isinstance(raw_idx, list) or not raw_idx:
-            _fail("probes.mode_indices", "expected a non-empty list of mode indices")
-        probe_indices = [_mode_index(v, f"probes.mode_indices[{i}]", n_modes)
-                         for i, v in enumerate(raw_idx)]
-        if len(set(probe_indices)) != len(probe_indices):
-            _fail("probes.mode_indices", "mode indices must be unique")
-        probe_indices = sorted(probe_indices)
-
-    if pipeline in ("twomode", "multimode"):
-        if seed is None:
-            _fail("seed", f"the {pipeline} pipeline samples quadrature records "
-                          f"and needs a seed for reproducibility")
-        if not pumps:
-            _fail("pumps", f"the {pipeline} pipeline needs at least one pump")
-        if amplifier is None:
-            _fail("amplifier", f"the {pipeline} pipeline emulates the "
-                               f"measurement chain and needs an amplifier")
-
-    if pipeline == "twomode":
-        section = _validate_twomode(doc, n_modes)
-    elif pipeline == "multimode":
-        _section(doc, "multimode", "")  # allowed, no keys yet
-        if len(probe_indices) < 2:
-            _fail("probes.mode_indices", "multimode analysis needs at least "
-                                         "two modes")
-        section = {}
-    elif pipeline == "calibration":
-        section = _validate_calibration(doc, n_modes, seed)
-    else:
-        section = _validate_scattering(doc, n_modes, len(pumps))
-
-    out_root = os.environ.get(OUT_ROOT_ENV)
-    if out_root and not os.path.isabs(output_dir):
-        output_dir = os.path.join(out_root, output_dir)
-
-    return ScenarioConfig(
-        pipeline=pipeline,
-        output_dir=output_dir,
-        seed=seed,
-        system=system,
-        pumps=pumps,
-        pump_eps=pump_eps,
-        tolerance=None if tol_hz is None else TWO_PI * tol_hz,
-        allow_unstable=allow_unstable,
-        temperature=temperature,
-        amplifier=amplifier,
-        n_samples=n_samples,
-        interval_count=interval_count,
-        interval_seconds=interval_seconds,
-        drift_phase=drift_phase,
-        probe_indices=probe_indices,
-        section=section,
-        config_path=config_path,
-        digest=digest,
-    )
-
 
 # ---------------------------------------------------------------------------
 # Shared pipeline plumbing
@@ -699,7 +209,8 @@ def _run_twomode(scfg, out_dir):
     v_th = thermal_covariance(modes, scfg.temperature)
 
     blocks = max(2, 2 * int(round(sec["chop_hz"] * scfg.interval_seconds / 2.0)))
-    detunings = sec["detunings"]
+    detunings = np.linspace(sec["detuning_start_hz"], sec["detuning_stop_hz"],
+                            sec["detuning_count"])
 
     # one stacked network per pump state, one row per detuning
     deltas = TWO_PI * np.asarray(detunings, dtype=float)
@@ -752,8 +263,8 @@ def _run_twomode(scfg, out_dir):
         hists = None
         if d_idx in sec["histogram_detunings"]:
             hists = histogram2d_subtracted(*records(d_idx, v_on, v_off, phis),
-                                           pair, bin_width=sec["bin_width"],
-                                           span=sec["span"])
+                                           pair, bin_width=sec["histogram_bin"],
+                                           span=sec["histogram_span"])
         return {"r_e": r_e, "r_p": r_p, "r_e_model": r_e_model,
                 "r_p_model": r_p_model, "hists": hists,
                 "v_on": v_on, "v_off": v_off}
@@ -913,6 +424,20 @@ def _run_multimode(scfg, out_dir):
 # calibration pipeline
 
 
+def _load_data_csv(subsection, path):
+    """Rows of a measured-data CSV after its header line; a bad file exits 2."""
+    where = f"config field 'calibration.{subsection}.data_csv'"
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{where}: cannot load {path!r}: {exc}") from exc
+    if data.shape[1] < 2:
+        raise ConfigError(f"{where}: file {path!r} needs two columns")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"{where}: file {path!r} contains non-finite values")
+    return data
+
+
 def _run_calibration(scfg, out_dir):
     sec = scfg.section
     modes = scfg.system.modes
@@ -921,23 +446,13 @@ def _run_calibration(scfg, out_dir):
     planck_fit = None
     corr_fit = None
 
-    if "planck" in sec:
+    if sec["planck"] is not None:
         p = sec["planck"]
         freq = TWO_PI * p["freq_hz"]
         bandwidth = TWO_PI * p["bandwidth_hz"]
-        if "data_csv" in p:
-            try:
-                data = np.loadtxt(p["data_csv"], delimiter=",", skiprows=1,
-                                  ndmin=2)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(
-                    f"config field 'calibration.planck.data_csv': cannot "
-                    f"load {p['data_csv']!r}: {exc}") from exc
+        if p["data_csv"] is not None:
+            data = _load_data_csv("planck", p["data_csv"])
             temps, powers = data[:, 0], data[:, 1]
-            if not np.all(np.isfinite(data)):
-                raise ConfigError(
-                    "config field 'calibration.planck.data_csv': file "
-                    f"{p['data_csv']!r} contains non-finite values")
             sigma = None
         else:
             if p["temp_spacing"] == "geometric":
@@ -976,23 +491,13 @@ def _run_calibration(scfg, out_dir):
             "residual_rms": float(np.sqrt(np.mean(planck_fit.residuals ** 2))),
         }
 
-    if "correlation" in sec:
+    if sec["correlation"] is not None:
         c = sec["correlation"]
         pair_modes = [modes[c["pair"][0]], modes[c["pair"][1]]]
         gain = 10.0 ** (c["gain_db"] / 10.0)
         eps = TWO_PI * c["eps_hz"]
-        if "data_csv" in c:
-            try:
-                data = np.loadtxt(c["data_csv"], delimiter=",", skiprows=1,
-                                  ndmin=2)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(
-                    f"config field 'calibration.correlation.data_csv': cannot "
-                    f"load {c['data_csv']!r}: {exc}") from exc
-            if not np.all(np.isfinite(data)):
-                raise ConfigError(
-                    "config field 'calibration.correlation.data_csv': file "
-                    f"{c['data_csv']!r} contains non-finite values")
+        if c["data_csv"] is not None:
+            data = _load_data_csv("correlation", c["data_csv"])
             deltas, c_meas = TWO_PI * data[:, 0], data[:, 1]
         else:
             deltas = TWO_PI * np.linspace(-c["span_hz"] / 2.0,
@@ -1111,7 +616,7 @@ def _run_scattering(scfg, out_dir):
     probes, _ = assign_probe_frequencies(modes, matches, couplings)
     ladder = _network(scfg, couplings, probe_omegas=probes)
     export_db_table(ladder, os.path.join(out_dir, "scattering_matched.csv"),
-                    reference=sec["reference"])
+                    reference=(sec["ref_out"], sec["ref_in"]))
     files.append("scattering_matched.csv")
 
     gains_db = [float(magnitude_db(np.abs(np.diagonal(s_mat)).max()))

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bases import mode_rotation, symplectic_form
+from .bases import min_physicality_eigenvalue, mode_rotation
 from .errors import (
     DimensionMismatchError,
     MissingFitCovarianceError,
@@ -111,9 +111,7 @@ def ppt_min_eigenvalue(v: CovarianceMatrix, transpose_modes) -> float:
     lam = np.ones(2 * n)
     for m in modes:
         lam[2 * m + 1] = -1.0  # momentum flip on the transposed modes
-    vt = lam[:, None] * v.v * lam[None, :]
-    h = vt.astype(complex) + 1j * symplectic_form(n)
-    return float(np.linalg.eigvalsh(h)[0])
+    return min_physicality_eigenvalue(lam[:, None] * v.v * lam[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -291,23 +289,6 @@ class EntanglementReport:
         if self.sigma is None or self.sigma == 0.0:
             return None
         return self.value / self.sigma
-
-    def to_dict(self):
-        out = {
-            "bipartition": self.bipartition.label,
-            "value": self.value,
-            "h": [float(x) for x in self.h],
-            "g": [float(x) for x in self.g],
-            "flags": list(self.flags),
-        }
-        if self.angles is not None:
-            out["angles"] = [float(x) for x in self.angles]
-        if self.iq_residual is not None:
-            out["iq_residual"] = float(self.iq_residual)
-        if self.sigma is not None:
-            out["sigma"] = float(self.sigma)
-            out["significance"] = self.significance
-        return out
 
 
 def svl_value(v: CovarianceMatrix, bipartition: Bipartition, h, g) -> float:

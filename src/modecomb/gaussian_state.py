@@ -7,7 +7,7 @@ V >= 0 for real symmetric V.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,15 +165,13 @@ class AmplifierModel:
     """Phase-insensitive amplification chain, one gain per mode.
 
     The measured covariance is T V T + N with T = diag(sqrt(G_i)) per
-    quadrature and N = diag((G_i - 1)(2 n_i + 1) + (G_Ii - 1)(2 n_Ii + 1)).
+    quadrature and N = diag((G_i - 1)(2 n_i + 1)).
     Fit uncertainties ride along for error propagation.
     """
 
     n_modes: int
     gain: np.ndarray
     added_photons: np.ndarray
-    idler_gain: np.ndarray = None
-    idler_photons: np.ndarray = None
     sigma_gain: np.ndarray = None
     sigma_noise: np.ndarray = None
     cov_gain_noise: np.ndarray = None
@@ -182,12 +180,8 @@ class AmplifierModel:
         n = self.n_modes
         self.gain = np.asarray(self.gain, dtype=float)
         self.added_photons = np.asarray(self.added_photons, dtype=float)
-        if self.idler_gain is None:
-            self.idler_gain = np.ones(n)
-        if self.idler_photons is None:
-            self.idler_photons = np.zeros(n)
         # fit uncertainties may legitimately be absent (None); keep the marker
-        names = ["gain", "added_photons", "idler_gain", "idler_photons"]
+        names = ["gain", "added_photons"]
         names += [
             name
             for name in ("sigma_gain", "sigma_noise", "cov_gain_noise")
@@ -198,9 +192,9 @@ class AmplifierModel:
             if arr.shape != (n,):
                 raise DimensionMismatchError(f"{name} must have shape ({n},)")
             setattr(self, name, arr)
-        if np.any(self.gain < 1.0) or np.any(self.idler_gain < 1.0):
+        if np.any(self.gain < 1.0):
             raise GainBelowUnityError("power gains below unity are not supported")
-        if np.any(self.added_photons < 0) or np.any(self.idler_photons < 0):
+        if np.any(self.added_photons < 0):
             raise ValueError("added photon numbers must be non-negative")
         if self.sigma_gain is not None and np.any(self.sigma_gain < 0):
             raise ValueError("fit standard errors must be non-negative")
@@ -237,9 +231,7 @@ class AmplifierModel:
         return np.repeat(np.sqrt(self.gain), 2)
 
     def n_diagonal(self):
-        per_mode = (self.gain - 1.0) * (2.0 * self.added_photons + 1.0) + (
-            self.idler_gain - 1.0
-        ) * (2.0 * self.idler_photons + 1.0)
+        per_mode = (self.gain - 1.0) * (2.0 * self.added_photons + 1.0)
         return np.repeat(per_mode, 2)
 
 
@@ -311,16 +303,6 @@ class QuadratureSamples:
     def rotate(self, angles):
         r = mode_rotation(angles)
         return QuadratureSamples(self.n_modes, self.data @ r.T, self.pump_state, self.seed)
-
-    def to_csv(self, path):
-        labels = []
-        for j in range(self.n_modes):
-            labels += [f"I{j}", f"Q{j}"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(labels)
-            for row in self.data:
-                writer.writerow([repr(float(x)) for x in row])
 
 
 def _psd_root(v):

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bases import symplectic_form
+from .bases import min_physicality_eigenvalue, symplectic_form
 from .errors import DimensionMismatchError, NonConvergenceWarning
 from .gaussian_state import CovarianceMatrix
 
@@ -58,15 +58,6 @@ class ReconstructionResult:
     sigma_floored: bool = False
     flags: list = field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "objective": float(self.objective),
-            "iterations": int(self.iterations),
-            "converged": bool(self.converged),
-            "sigma_floored": bool(self.sigma_floored),
-            "flags": list(self.flags),
-        }
-
 
 def _cone_step(v, omega):
     """One Hermitian-space sweep towards {V : V + i Omega >= 0}."""
@@ -92,14 +83,9 @@ def project_physical(v, tol=FEAS_TOL, max_iter=PROJECT_SWEEPS):
     x = 0.5 * (arr + arr.T)
     for _ in range(max_iter):
         x = _cone_step(x, omega)
-        h = x.astype(complex) + 1j * omega
-        if np.linalg.eigvalsh(h)[0] >= -tol:
+        if min_physicality_eigenvalue(x) >= -tol:
             break
     return CovarianceMatrix(n, x)
-
-
-def _min_phys_eig(v, omega):
-    return float(np.linalg.eigvalsh(v.astype(complex) + 1j * omega)[0])
 
 
 def _envelope_test(cut_g, cut_b, lo, hi, iu):
@@ -208,7 +194,7 @@ def _decide_feasible(x_start, lo, hi, omega, max_iter):
                 return -1, x, max_iter
             v_model = np.clip(v_model, lo, hi)
             v_model = 0.5 * (v_model + v_model.T)
-            if _min_phys_eig(v_model, omega) >= 0.0:
+            if min_physicality_eigenvalue(v_model) >= 0.0:
                 return 1, v_model, max_iter
     return 0, x, max_iter
 
@@ -297,7 +283,7 @@ def reconstruct_physical(
 
     # fast path: already physical (tolerance matches the feasibility test, so
     # reconstructing twice is idempotent with objective 0 on the second pass)
-    if _min_phys_eig(arr, omega) >= -feas_tol:
+    if min_physicality_eigenvalue(arr) >= -feas_tol:
         return ReconstructionResult(
             v=CovarianceMatrix(n, arr),
             objective=0.0,
@@ -361,13 +347,13 @@ def reconstruct_physical(
 
     # shifting by the residual violation restores positivity exactly and
     # costs at most that violation over the smallest diagonal sigma
-    lift = -_min_phys_eig(best, omega)
+    lift = -min_physicality_eigenvalue(best)
     if lift > 0.0:
         best = best + lift * np.eye(best.shape[0])
 
     realized = float(np.max(np.abs(best - arr) / sig))
     flags = []
-    min_eig = _min_phys_eig(best, omega)
+    min_eig = min_physicality_eigenvalue(best)
     if min_eig < -10.0 * feas_tol:
         flags.append("cone_residual_above_tolerance")
     undecided = undecided_width > 100.0 * t_width
