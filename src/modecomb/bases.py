@@ -9,6 +9,8 @@ Two bases are used throughout:
   (real entries, vacuum variance 1).
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import DimensionMismatchError, NonPhysicalInputError
@@ -80,9 +82,17 @@ def mode_rotation(angles):
     return r
 
 
+@lru_cache(maxsize=None)
+def _shared_symplectic_form(n_modes):
+    """Read-only ``symplectic_form(n_modes)``, built once per mode count."""
+    omega = symplectic_form(n_modes)
+    omega.flags.writeable = False
+    return omega
+
+
 def min_physicality_eigenvalue(v):
     """Smallest eigenvalue of V + i Omega; >= 0 (up to tolerance) for physical V."""
     v = np.asarray(v, dtype=float)
     n = v.shape[0] // 2
-    h = v.astype(complex) + 1j * symplectic_form(n)
+    h = v.astype(complex) + 1j * _shared_symplectic_form(n)
     return float(np.linalg.eigvalsh(h)[0])

@@ -141,6 +141,17 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _write_csv(out_dir, name, header, rows):
+    """Write a CSV artifact and return its name; strings and ints are
+    written as they are, every other cell as ``repr(float(x))``."""
+    with open(os.path.join(out_dir, name), "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([x if isinstance(x, (str, int)) else repr(float(x)) for x in row]
+                    for row in rows)
+    return name
+
+
 def _couplings_for(scfg, pumps=None, tolerance=None):
     """Four-wave matches and complex pair couplings for the configured comb.
 
@@ -271,33 +282,20 @@ def _run_twomode(scfg, out_dir):
 
     rows = [one_detuning(d_idx) for d_idx in range(len(detunings))]
 
-    files = []
-    sweep_path = os.path.join(out_dir, "squeezing_vs_detuning.csv")
-    with open(sweep_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["detuning_hz", "r_e", "r_p", "r_e_model", "r_p_model"])
-        for d, row in zip(detunings, rows):
-            w.writerow([repr(float(d))] + [repr(float(row[key]))
-                       for key in ("r_e", "r_p", "r_e_model", "r_p_model")])
-    files.append("squeezing_vs_detuning.csv")
+    keys = ("r_e", "r_p", "r_e_model", "r_p_model")
+    files = [_write_csv(out_dir, "squeezing_vs_detuning.csv", ("detuning_hz",) + keys,
+                        ([d] + [row[key] for key in keys]
+                         for d, row in zip(detunings, rows)))]
 
     for d_idx in sec["histogram_detunings"]:
-        name = f"histograms_d{d_idx:02d}.csv"
-        path = os.path.join(out_dir, name)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["axes", "row", "col", "x_low", "y_low",
-                        "count_on", "count_off", "difference"])
-            for axes in sorted(rows[d_idx]["hists"]):
-                edges, h_on, h_off = rows[d_idx]["hists"][axes]
-                for r in range(h_on.shape[0]):
-                    for c in range(h_on.shape[1]):
-                        w.writerow([axes, r, c,
-                                    repr(float(edges[r])), repr(float(edges[c])),
-                                    repr(float(h_on[r, c])),
-                                    repr(float(h_off[r, c])),
-                                    repr(float(h_on[r, c] - h_off[r, c]))])
-        files.append(name)
+        files.append(_write_csv(
+            out_dir, f"histograms_d{d_idx:02d}.csv",
+            ["axes", "row", "col", "x_low", "y_low", "count_on", "count_off",
+             "difference"],
+            ([axes, r, c, edges[r], edges[c], h_on[r, c], h_off[r, c],
+              h_on[r, c] - h_off[r, c]]
+             for axes, (edges, h_on, h_off) in sorted(rows[d_idx]["hists"].items())
+             for r, c in np.ndindex(h_on.shape))))
 
     mid = len(detunings) // 2
     for name, v in (("covariance_on_model.csv", rows[mid]["v_on"]),
@@ -351,11 +349,11 @@ def _run_multimode(scfg, out_dir):
         rec = reconstruct_physical(deamplify(v_hat, amp), sigma=sigma,
                                    t_width=1e-3, max_iter=30000)
         reports = all_bipartition_reports(rec.v)
-        for rep in reports:
-            rep.sigma = entanglement_sigma(sigma, rep.h, rep.g, rep.angles)
         return {
             "values": {rep.bipartition.label: rep.value for rep in reports},
-            "sigmas": {rep.bipartition.label: rep.sigma for rep in reports},
+            "sigmas": {rep.bipartition.label:
+                       entanglement_sigma(sigma, rep.h, rep.g, rep.angles)
+                       for rep in reports},
             "objective": rec.objective,
             "converged": rec.converged,
             "iq_residual": reports[0].iq_residual,
@@ -475,13 +473,9 @@ def _run_calibration(scfg, out_dir):
         model = cal.planck_power(temps, planck_fit.gain,
                                  planck_fit.added_photons, freq,
                                  bandwidth=bandwidth)
-        path = os.path.join(out_dir, "planck_fit.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["temp_k", "power", "power_model"])
-            for t, pw, pm in zip(temps, powers, model):
-                w.writerow([repr(float(t)), repr(float(pw)), repr(float(pm))])
-        files.append("planck_fit.csv")
+        files.append(_write_csv(out_dir, "planck_fit.csv",
+                                ["temp_k", "power", "power_model"],
+                                zip(temps, powers, model)))
         metrics["planck"] = {
             "gain": planck_fit.gain,
             "gain_db": 10.0 * math.log10(planck_fit.gain),
@@ -512,13 +506,9 @@ def _run_calibration(scfg, out_dir):
             deltas, c_meas, pair_modes, scfg.temperature, p0=(gain, eps))
         model = cal.c_lineshape(deltas, corr_fit.gain, corr_fit.eps,
                                 pair_modes, scfg.temperature)
-        path = os.path.join(out_dir, "correlation_fit.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["detuning_hz", "c", "c_model"])
-            for d, cm, cmod in zip(deltas / TWO_PI, c_meas, model):
-                w.writerow([repr(float(d)), repr(float(cm)), repr(float(cmod))])
-        files.append("correlation_fit.csv")
+        files.append(_write_csv(out_dir, "correlation_fit.csv",
+                                ["detuning_hz", "c", "c_model"],
+                                zip(deltas / TWO_PI, c_meas, model)))
         metrics["correlation"] = {
             "gain": corr_fit.gain,
             "gain_db": 10.0 * math.log10(corr_fit.gain),
@@ -596,19 +586,13 @@ def _run_scattering(scfg, out_dir):
     results = [one_spacing(s_idx) for s_idx in range(len(spacings))]
 
     labels = [f"b{j}" for j in range(n)] + [f"bdag{j}" for j in range(n)]
-    files = []
-    sweep_path = os.path.join(out_dir, "scattering_sweep.csv")
-    with open(sweep_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["spacing_hz", "n_matches", "out", "in", "mag_db",
-                    "phase_rad"])
-        for s, (n_match, s_mat) in zip(spacings, results):
-            for r in range(2 * n):
-                for c in range(2 * n):
-                    w.writerow([repr(float(s)), n_match, labels[r], labels[c],
-                                repr(float(magnitude_db(s_mat[r, c]))),
-                                repr(float(np.angle(s_mat[r, c])))])
-    files.append("scattering_sweep.csv")
+    files = [_write_csv(
+        out_dir, "scattering_sweep.csv",
+        ["spacing_hz", "n_matches", "out", "in", "mag_db", "phase_rad"],
+        ([s, n_match, labels[r], labels[c], magnitude_db(s_mat[r, c]),
+          np.angle(s_mat[r, c])]
+         for s, (n_match, s_mat) in zip(spacings, results)
+         for r, c in np.ndindex(s_mat.shape)))]
 
     nominal_idx = int(np.argmin(np.abs(spacings - nominal)))
     pumps = comb_at(spacings[nominal_idx])

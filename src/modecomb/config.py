@@ -136,8 +136,8 @@ _TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
           dict: (dict, "a mapping"), list: (list, "a list")}
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    """SafeLoader that also reads exponent floats like 8.0e9 and 1e-3."""
+class _ConfigLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe loader (libyaml's if present) that also reads floats like 8.0e9 and 1e-3."""
 
 
 _ConfigLoader.add_implicit_resolver(

@@ -9,7 +9,9 @@ data (I1, Q1, I2, Q2, ... ordering, vacuum = identity):
   across every bipartition certifies genuine multipartite entanglement.
 
 The witness optimum over (h, g) with ||h||^2 + ||g||^2 = 2 is found exactly
-by an eigenvalue construction, after an optional passive rotation that
+by an eigenvalue construction: two sign patterns per bipartition, one of
+them shared by all bipartitions, so every bipartition comes from a single
+stacked eigenproblem.  It runs after an optional passive rotation that
 removes I-Q cross correlations from the measured frame.  Its per-mode angles
 come from damped Newton steps with an analytic gradient and Hessian, run
 from all distinct starts at once.
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,11 +74,6 @@ class Bipartition:
     def label(self):
         fmt = lambda part: "".join(str(i) for i in part)
         return f"{fmt(self.part_a)}|{fmt(self.part_b)}"
-
-    def indicator(self, part):
-        out = np.zeros(self.n_modes)
-        out[list(part)] = 1.0
-        return out
 
 
 def all_bipartitions(n_modes):
@@ -281,14 +277,7 @@ class EntanglementReport:
     g: np.ndarray
     angles: Optional[np.ndarray] = None
     iq_residual: Optional[float] = None
-    sigma: Optional[float] = None
     flags: list = field(default_factory=list)
-
-    @property
-    def significance(self):
-        if self.sigma is None or self.sigma == 0.0:
-            return None
-        return self.value / self.sigma
 
 
 def svl_value(v: CovarianceMatrix, bipartition: Bipartition, h, g) -> float:
@@ -304,6 +293,48 @@ def svl_value(v: CovarianceMatrix, bipartition: Bipartition, h, g) -> float:
     return float(h @ vii @ h + g @ vqq @ g - 2.0 * abs(ta) - 2.0 * abs(tb))
 
 
+def _witness_reports(v: CovarianceMatrix, bipartitions, decorrelate: bool):
+    """Witness reports for ``bipartitions`` from one stacked ``eigh``.
+
+    Row 0 of the stack is the shared Q(+,+) = [[V_II, -I], [-I, V_QQ]];
+    row b is Q(+,-) of bipartition b, with S = +1 on part A and -1 on part
+    B.  Each bipartition takes the lower of the two smallest eigenvalues,
+    Q(+,+) on a tie (see ``svl_test``).
+    """
+    n = v.n_modes
+    if any(bp.n_modes != n for bp in bipartitions):
+        raise DimensionMismatchError("bipartition and covariance sizes differ")
+
+    angles = residual = None
+    flags = []
+    if decorrelate:
+        v, angles, residual = decorrelate_iq(v)
+        if residual > IQ_RESIDUAL_LIMIT:
+            flags.append("iq_residual_above_limit")
+
+    signs = np.ones((1 + len(bipartitions), n))
+    for row, bp in zip(signs[1:], bipartitions):
+        row[list(bp.part_b)] = -1.0
+    q = np.zeros((len(signs), 2 * n, 2 * n))
+    q[:, :n, :n] = v.v[0::2, 0::2]
+    q[:, n:, n:] = v.v[1::2, 1::2]
+    k = np.arange(n)
+    q[:, k, n + k] = q[:, n + k, k] = -signs
+    lams, vecs = np.linalg.eigh(q)
+
+    reports = []
+    for b, bp in enumerate(bipartitions, start=1):
+        best = b if lams[b, 0] < lams[0, 0] else 0
+        x = np.sqrt(2.0) * vecs[best, :, 0]  # ||h||^2 + ||g||^2 = 2
+        h, g = x[:n], x[n:]
+        value = svl_value(v, bp, h, g)
+        # the evaluator re-derives the overlap signs, so it must agree exactly
+        if abs(value - 2.0 * lams[best, 0]) > 1e-8 * (1.0 + abs(value)):
+            raise OptimizerFailureError("witness evaluator disagrees with eigenvalue optimum")
+        reports.append(EntanglementReport(bp, value, h, g, angles, residual, list(flags)))
+    return reports
+
+
 def svl_test(
     v: CovarianceMatrix,
     bipartition: Bipartition,
@@ -312,73 +343,22 @@ def svl_test(
     """Global minimum of the witness over ||h||^2 + ||g||^2 = 2.
 
     Splitting by the signs (sA, sB) of the two partition overlaps turns the
-    constrained problem into four symmetric eigenproblems
+    constrained problem into symmetric eigenproblems
 
         Q(s) = [[V_II, -S], [-S, V_QQ]],   S = diag(sA on A, sB on B),
 
-    whose smallest doubled eigenvalue over the four sign patterns is the
-    exact optimum.  E < 0 certifies entanglement across the bipartition.
+    whose smallest doubled eigenvalue over the sign patterns is the exact
+    optimum.  With D = diag(I, -I), D Q(s) D = Q(-s): the patterns (-,-)
+    and (-,+) have the spectra of (+,+) and (+,-), so only those two are
+    solved, and Q(+,+) does not depend on the bipartition.  E < 0
+    certifies entanglement across the bipartition.
     """
-    if bipartition.n_modes != v.n_modes:
-        raise DimensionMismatchError("bipartition and covariance sizes differ")
-
-    angles = None
-    residual = None
-    flags = []
-    if decorrelate:
-        v, angles, residual = decorrelate_iq(v)
-        if residual > IQ_RESIDUAL_LIMIT:
-            flags.append("iq_residual_above_limit")
-
-    n = v.n_modes
-    vii = v.v[0::2, 0::2]
-    vqq = v.v[1::2, 1::2]
-    pa = bipartition.indicator(bipartition.part_a)
-    pb = bipartition.indicator(bipartition.part_b)
-
-    best = None
-    for sa, sb in product((1.0, -1.0), repeat=2):
-        s = np.diag(sa * pa + sb * pb)
-        q = np.block([[vii, -s], [-s, vqq]])
-        w, vecs = np.linalg.eigh(q)
-        if best is None or w[0] < best[0]:
-            best = (w[0], vecs[:, 0])
-
-    lam, vec = best
-    x = np.sqrt(2.0) * vec  # ||h||^2 + ||g||^2 = 2
-    h, g = x[:n], x[n:]
-    value = svl_value(v, bipartition, h, g)
-    # the evaluator re-derives the overlap signs, so it must agree exactly
-    if abs(value - 2.0 * lam) > 1e-8 * (1.0 + abs(value)):
-        raise OptimizerFailureError(
-            "witness evaluator disagrees with eigenvalue optimum"
-        )
-    return EntanglementReport(
-        bipartition=bipartition,
-        value=value,
-        h=h,
-        g=g,
-        angles=angles,
-        iq_residual=residual,
-        flags=flags,
-    )
+    return _witness_reports(v, [bipartition], decorrelate)[0]
 
 
-def all_bipartition_reports(v: CovarianceMatrix, decorrelate: bool = True):
+def all_bipartition_reports(v: CovarianceMatrix):
     """Witness reports for every bipartition, in one common rotated frame."""
-    angles = None
-    residual = None
-    if decorrelate:
-        v, angles, residual = decorrelate_iq(v)
-    reports = []
-    for bp in all_bipartitions(v.n_modes):
-        rep = svl_test(v, bp, decorrelate=False)
-        rep.angles = angles
-        rep.iq_residual = residual
-        if residual is not None and residual > IQ_RESIDUAL_LIMIT:
-            rep.flags.append("iq_residual_above_limit")
-        reports.append(rep)
-    return reports
+    return _witness_reports(v, all_bipartitions(v.n_modes), decorrelate=True)
 
 
 # ---------------------------------------------------------------------------
@@ -409,46 +389,33 @@ def propagate_errors(v_meas: CovarianceMatrix, amp, sem=None) -> np.ndarray:
         raise DimensionMismatchError("sem must match the covariance shape")
     sem = 0.5 * (sem + sem.T)
 
-    cov_gn = amp.cov_gain_noise
-    if cov_gn is None:
-        cov_gn = np.zeros(n)
-    v_de = deamplify(v_meas, amp).v
+    cov_gn = np.zeros(n) if amp.cov_gain_noise is None else amp.cov_gain_noise
+    # element (a, b) belongs to mode i = a // 2 along its row and j = b // 2
+    # along its column; ``diag`` keeps the terms that only variances carry
+    gi, sgi, ni, sni, ci = (np.repeat(x, 2)[:, None] for x in (
+        amp.gain, amp.sigma_gain, amp.added_photons, amp.sigma_noise, cov_gn))
+    gj, sgj = gi.T, sgi.T
+    diag = np.eye(2 * n)
     vm = v_meas.v
-
-    var = np.zeros((2 * n, 2 * n))
-    clamped = False
-    for a in range(2 * n):
-        for b in range(2 * n):
-            i, j = a // 2, b // 2
-            diag = 1.0 if a == b else 0.0
-            gi, gj = amp.gain[i], amp.gain[j]
-            term_a = (1.0 + diag) * (
-                (vm[a, b] / (2.0 * np.sqrt(gi**3 * gj)) * amp.sigma_gain[i]) ** 2
-                + (vm[a, b] / (2.0 * np.sqrt(gj**3 * gi)) * amp.sigma_gain[j]) ** 2
-            ) + 2.0 * diag * (
-                (2.0 * amp.added_photons[i] + 1.0) * amp.sigma_gain[i] / gi
-            ) ** 2
-            term_b = diag * (2.0 * amp.sigma_noise[i]) ** 2
-            term_c = sem[a, b] ** 2 / (gi * gj)
-            term_corr = (
-                diag
-                * 4.0
-                * (v_de[a, a] - (2.0 * amp.added_photons[i] + 1.0))
-                / gi
-                * cov_gn[i]
-            )
-            total = term_a + term_b + term_c + term_corr
-            if total < 0.0:
-                clamped = True
-                total = 0.0
-            var[a, b] = total
-    if clamped:
+    v_aa = np.diag(deamplify(v_meas, amp).v)[:, None]
+    # float_power rounds like the scalar x ** k (C pow); array ** squares by
+    # multiplication, which differs in the last bit for a few inputs
+    pw = np.float_power
+    # gain-fit leverage (three terms), added-noise fit, de-embedded
+    # statistical error and the gain/noise fit covariance, summed in order
+    var = ((1.0 + diag) * (pw(vm / (2.0 * np.sqrt(pw(gi, 3) * gj)) * sgi, 2)
+                           + pw(vm / (2.0 * np.sqrt(pw(gj, 3) * gi)) * sgj, 2))
+           + 2.0 * diag * pw((2.0 * ni + 1.0) * sgi / gi, 2)
+           + diag * pw(2.0 * sni, 2)
+           + pw(sem, 2) / (gi * gj)
+           + diag * 4.0 * (v_aa - (2.0 * ni + 1.0)) / gi * ci)
+    if np.any(var < 0.0):
         warnings.warn(
             "negative propagated variance clamped to zero",
             PhysicalityWarning,
             stacklevel=2,
         )
-    return np.sqrt(var)
+    return np.sqrt(np.maximum(var, 0.0))
 
 
 def entanglement_sigma(sigma_matrix, h, g, angles=None) -> float:

@@ -274,7 +274,6 @@ class QuadratureSamples:
     n_modes: int
     data: np.ndarray
     pump_state: str = "on"
-    seed: int = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -302,7 +301,7 @@ class QuadratureSamples:
 
     def rotate(self, angles):
         r = mode_rotation(angles)
-        return QuadratureSamples(self.n_modes, self.data @ r.T, self.pump_state, self.seed)
+        return QuadratureSamples(self.n_modes, self.data @ r.T, self.pump_state)
 
 
 def _psd_root(v):
@@ -328,7 +327,7 @@ def sample(v, n_samples, seed, pump_state="on"):
     root = _psd_root(v.v)
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((int(n_samples), 2 * v.n_modes)) @ root
-    return QuadratureSamples(v.n_modes, data, pump_state, None if seed is None else seed)
+    return QuadratureSamples(v.n_modes, data, pump_state)
 
 
 def sample_covariance(v, n_rows, seed):

@@ -141,3 +141,10 @@ def test_small_configs_validate(tmp_path):
     for i, template in enumerate((TM, MM, CAL, SC)):
         path = write_config(tmp_path, template, name=f"{i}.cfg")
         assert main(["validate", str(path)]) == 0
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_malformed_yaml_exits_two(tmp_path, capsys, command):
+    path = write_config(tmp_path, TM.replace("temp_k: 0.007", "temp_k: [0.007", 1))
+    assert main([command, str(path)]) == 2
+    assert "is not valid YAML" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """PPT and optimized-witness entanglement tests with error propagation."""
 
+import warnings
 from itertools import product
 
 import numpy as np
@@ -17,7 +18,9 @@ from modecomb import (
     PhysicalityWarning,
     all_bipartition_reports,
     all_bipartitions,
+    amplify,
     build_coupling_matrix,
+    deamplify,
     decorrelate_iq,
     entanglement_sigma,
     output_covariance,
@@ -30,7 +33,12 @@ from modecomb import (
     two_mode_squeezed_covariance,
 )
 from modecomb.bases import mode_rotation, symplectic_form
-from modecomb.entanglement import _iq_derivatives, _iq_objective, own_iq_angles
+from modecomb.entanglement import (
+    IQ_RESIDUAL_LIMIT,
+    _iq_derivatives,
+    _iq_objective,
+    own_iq_angles,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -106,6 +114,15 @@ def test_ppt_of_two_mode_squeezed_state():
         ppt_min_eigenvalue(v, [2])
 
 
+def test_symplectic_form_is_fresh_after_the_physicality_check():
+    v = two_mode_squeezed_covariance(0.7)
+    first = ppt_min_eigenvalue(v, [1])
+    omega = symplectic_form(2)
+    omega[:] = 0.0  # the caller's array is its own
+    assert ppt_min_eigenvalue(v, [1]) == first
+    assert symplectic_form(2)[0, 1] == 1.0
+
+
 def test_ppt_separable_states_stay_positive():
     rng = np.random.default_rng(21)
     for _ in range(20):
@@ -144,8 +161,67 @@ def test_svl_separable_state_nonnegative():
         assert svl_test(v, bp).value >= -1e-12
 
 
+def reference_svl_test(v, bp):
+    """The earlier witness optimum, kept as an oracle: one ``np.block``
+    eigenproblem per sign pattern (sA, sB), all four patterns in turn."""
+    n = v.n_modes
+    pa = np.zeros(n)
+    pa[list(bp.part_a)] = 1.0
+    best = None
+    for sa, sb in product((1.0, -1.0), repeat=2):
+        s = np.diag(sa * pa + sb * (1.0 - pa))
+        w, vecs = np.linalg.eigh(np.block([[v.v[0::2, 0::2], -s], [-s, v.v[1::2, 1::2]]]))
+        if best is None or w[0] < best:
+            best = w[0]
+    return 2.0 * best
+
+
+def passively_mixed_thermal_states(seed, sizes=(2, 3, 4, 5)):
+    """Separable states whose I and Q correlations share their sign: thermal
+    modes mixed by a real orthogonal (beam splitter) network.  Here the
+    shared pattern Q(+,+) holds the optimum; in ``rotated_random_states``
+    Q(+,-) does."""
+    rng = np.random.default_rng(seed)
+    for n in sizes:
+        o = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        mixed = o @ np.diag(2.0 * rng.uniform(0.0, 2.0, n) + 1.0) @ o.T
+        yield CovarianceMatrix(n, np.kron(mixed, np.eye(2)))
+
+
+def test_stacked_witness_matches_four_pattern_loop():
+    states = list(rotated_random_states(17, 12, sizes=(2, 3, 4, 5)))
+    for v in states + list(passively_mixed_thermal_states(18)):
+        bps = all_bipartitions(v.n_modes)
+        reports = all_bipartition_reports(v)
+        assert [rep.bipartition for rep in reports] == bps
+        clean = decorrelate_iq(v)[0]
+        for rep in reports:
+            expected = reference_svl_test(clean, rep.bipartition)
+            assert rep.value == pytest.approx(expected, rel=1e-12, abs=1e-14)
+            assert svl_value(clean, rep.bipartition, rep.h, rep.g) == rep.value
+            single = svl_test(clean, rep.bipartition, decorrelate=False)
+            assert single.value == pytest.approx(expected, rel=1e-12, abs=1e-14)
+            assert svl_value(clean, rep.bipartition, single.h, single.g) == single.value
+            assert np.dot(single.h, single.h) + np.dot(single.g, single.g) == pytest.approx(
+                2.0, rel=1e-12)
+
+
+def test_svl_test_checks_sizes_and_flags_its_frame():
+    with pytest.raises(DimensionMismatchError):
+        svl_test(CovarianceMatrix.vacuum(3), Bipartition((0,), (1,), 2))
+    for v in rotated_random_states(19, 6):
+        reports = all_bipartition_reports(v)
+        residual = reports[0].iq_residual
+        flagged = ["iq_residual_above_limit"] if residual > IQ_RESIDUAL_LIMIT else []
+        for rep in reports:
+            assert rep.flags == flagged and rep.iq_residual == residual
+        assert len({id(rep.flags) for rep in reports}) == len(reports)
+        rep = svl_test(v, reports[-1].bipartition)
+        assert rep.value == reports[-1].value and rep.flags == flagged
+
+
 def test_svl_matches_numeric_multistart():
-    """The four-eigenproblem optimum agrees with direct numeric minimization."""
+    """The eigenvalue optimum agrees with direct numeric minimization."""
     rng = np.random.default_rng(14)
     for _ in range(3):
         v = random_physical_state(rng, 3)
@@ -213,8 +289,9 @@ def reference_decorrelate_energy(v):
     )
 
 
-def rotated_random_states(seed, count):
-    """Random physical states, 2-4 modes, with inter-mode I-Q correlations.
+def rotated_random_states(seed, count, sizes=(2, 3, 4)):
+    """Random physical states with inter-mode I-Q correlations, their mode
+    counts taken in turn from ``sizes``.
 
     ``random_physical_state`` is a product of single-mode states, whose I-Q
     block rotates away exactly; a random symplectic mixes the modes so the
@@ -222,7 +299,7 @@ def rotated_random_states(seed, count):
     """
     rng = np.random.default_rng(seed)
     for i in range(count):
-        n = 2 + i % 3
+        n = sizes[i % len(sizes)]
         gen = rng.normal(0.0, 0.3, (2 * n, 2 * n))
         s = expm(symplectic_form(n) @ (gen + gen.T))
         v = s @ random_physical_state(rng, n).v @ s.T
@@ -344,6 +421,71 @@ def test_propagate_errors_clamps_negative_variance():
     with pytest.warns(PhysicalityWarning):
         sig = propagate_errors(meas, amp)
     assert np.all(sig >= 0.0)
+
+
+def reference_propagate_errors(v_meas, amp, sem):
+    """The earlier per-element loop of ``propagate_errors``, kept as an
+    oracle; returns (sigma, whether a variance was clamped)."""
+    n = v_meas.n_modes
+    sem = 0.5 * (sem + sem.T)
+    v_de = deamplify(v_meas, amp).v
+    vm = v_meas.v
+    var = np.zeros((2 * n, 2 * n))
+    clamped = False
+    for a in range(2 * n):
+        for b in range(2 * n):
+            i, j = a // 2, b // 2
+            diag = 1.0 if a == b else 0.0
+            gi, gj = amp.gain[i], amp.gain[j]
+            term_a = (1.0 + diag) * (
+                (vm[a, b] / (2.0 * np.sqrt(gi**3 * gj)) * amp.sigma_gain[i]) ** 2
+                + (vm[a, b] / (2.0 * np.sqrt(gj**3 * gi)) * amp.sigma_gain[j]) ** 2
+            ) + 2.0 * diag * (
+                (2.0 * amp.added_photons[i] + 1.0) * amp.sigma_gain[i] / gi
+            ) ** 2
+            term_b = diag * (2.0 * amp.sigma_noise[i]) ** 2
+            term_c = sem[a, b] ** 2 / (gi * gj)
+            term_corr = (diag * 4.0 * (v_de[a, a] - (2.0 * amp.added_photons[i] + 1.0))
+                         / gi * amp.cov_gain_noise[i])
+            total = term_a + term_b + term_c + term_corr
+            if total < 0.0:
+                clamped = True
+                total = 0.0
+            var[a, b] = total
+    return np.sqrt(var), clamped
+
+
+def test_propagate_errors_matches_element_loop():
+    """Bit for bit, with per-mode gains, a sem matrix and the clamped case."""
+    rng = np.random.default_rng(33)
+    clamps = []
+    for k, v in enumerate(rotated_random_states(34, 60, sizes=(1, 2, 3, 4))):
+        n = v.n_modes
+        gain = rng.uniform(1.0, 1e3, n)
+        photons = rng.uniform(0.0, 20.0, n)
+        sigma_noise = rng.uniform(0.01, 0.3, n)
+        if k % 2:
+            # the fit correlation at its bound, against a measured covariance
+            # far below the added noise, drives the diagonal variances negative
+            sigma_gain = 2.0 * sigma_noise * gain / (2.0 * photons + 1.0)
+            cov = sigma_gain * sigma_noise
+        else:
+            sigma_gain = rng.uniform(0.0, 0.05, n) * gain
+            cov = rng.uniform(-1.0, 1.0, n) * sigma_gain * sigma_noise
+        amp = AmplifierModel(n, gain, photons, sigma_gain, sigma_noise, cov)
+        if k % 2:
+            meas, sem = v, np.zeros((2 * n, 2 * n))
+        else:
+            meas = amplify(v, amp)
+            sem = np.abs(rng.normal(0.0, 1.0, (2 * n, 2 * n))) * gain.mean()
+        expected, clamped = reference_propagate_errors(meas, amp, sem)
+        clamps.append(clamped)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = propagate_errors(meas, amp, sem=sem)
+        assert [w.category for w in caught] == [PhysicalityWarning] * clamped
+        assert np.array_equal(got, expected)
+    assert any(clamps) and not all(clamps)
 
 
 def test_entanglement_sigma_formula():
