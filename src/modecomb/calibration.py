@@ -10,7 +10,9 @@ usually taken:
 * Pump-off covariance: with the pump off the resonator emits pure thermal
   noise, pinning the amplifier added-photon number given the gain.
 
-A calibrated AmplifierModel then de-embeds measured covariances, and a
+Both fitted models are linear in the gain, so the Planck fit is solved in
+closed form and the correlation fit reduces to a search in eps alone.  A
+calibrated AmplifierModel then de-embeds measured covariances, and a
 temperature sweep of the partial-transposition eigenvalue locates the
 separability crossing.
 """
@@ -98,25 +100,35 @@ def planck_power(temperature, gain, added_photons, frequency, bandwidth=1.0):
     scalar = np.isscalar(temperature)
     temperature = np.atleast_1d(np.asarray(temperature, dtype=float))
     hf = _HBAR * 2.0 * np.pi * frequency
-    # coth(hf / 2 kB T), safely 1 at T = 0 where the ratio diverges
-    ratio = np.full(temperature.shape, np.inf)
-    np.divide(hf, 2.0 * _KB * temperature, out=ratio, where=temperature > 0.0)
-    coth = 1.0 / np.tanh(ratio)
-    power = gain * hf * bandwidth * 0.5 * (coth + (2.0 * added_photons + 1.0))
+    power = gain * hf * bandwidth * 0.5 * (_coth(temperature, hf) + (2.0 * added_photons + 1.0))
     return float(power[0]) if scalar else power
 
 
-def planck_fit(
-    temperatures, powers, frequency, bandwidth=1.0, p0=None, sigma=None, absolute_sigma=False
-):
+def _coth(temperature, hf):
+    """coth(hf / 2 kB T), safely 1 at T = 0 where the ratio diverges."""
+    ratio = np.full(temperature.shape, np.inf)
+    np.divide(hf, 2.0 * _KB * temperature, out=ratio, where=temperature > 0.0)
+    return 1.0 / np.tanh(ratio)
+
+
+def _normal_inverse(jac, message):
+    """(J^T J)^-1 from the SVD of ``jac``; raises when ``jac`` is rank deficient."""
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    if not s[-1] > np.finfo(float).eps * max(jac.shape) * s[0]:
+        raise MissingFitCovarianceError(message)
+    return (vt.T / s**2) @ vt
+
+
+def planck_fit(temperatures, powers, frequency, bandwidth=1.0, sigma=None, absolute_sigma=False):
     """Fit (gain, added photons) to a power-vs-temperature sweep.
 
-    Returns (gain, added_photons, sigma_gain, sigma_noise, cov_gain_noise).
-    Uncertainties come from the fit covariance; the model is linear in
-    (G, G(2n+1)) so the Levenberg-Marquardt loop converges from crude
-    starting values.  For multiplicative power noise pass per-point
-    ``sigma`` (same shape as ``powers``) so the low-temperature points keep
-    their full leverage on the added-noise intercept.
+    The model is linear in (alpha, beta) = (G, G(2n+1)), with design
+    [coth, 1] h f B / 2, so weighted linear least squares gives the optimum
+    in closed form; the (G, n) covariance follows through the Jacobian of
+    that change of variables.  It is scaled by the reduced chi-square
+    unless ``absolute_sigma`` is set.  For multiplicative power noise pass
+    per-point ``sigma`` (same shape as ``powers``) so the low-temperature
+    points keep their full leverage on the added-noise intercept.
     """
     temperatures = np.asarray(temperatures, dtype=float)
     powers = np.asarray(powers, dtype=float)
@@ -126,37 +138,21 @@ def planck_fit(
         raise InsufficientDataError("need at least three sweep points to fit two parameters")
 
     hf = _HBAR * 2.0 * np.pi * frequency
-    if p0 is None:
-        # slope -> G kB B; intercept -> G hf B (2 + 2n) / 2
-        slope, intercept = np.polyfit(temperatures, powers, 1)
-        g0 = max(slope / (_KB * bandwidth), 1.0)
-        n0 = max(intercept / (g0 * hf * bandwidth) - 1.0, 0.0)
-        p0 = (g0, n0)
-
-    def model(t, gain, noise):
-        return planck_power(t, gain, noise, frequency, bandwidth)
-
-    from scipy.optimize import curve_fit  # only the fits load scipy
-
-    try:
-        popt, pcov = curve_fit(
-            model,
-            temperatures,
-            powers,
-            p0=p0,
-            sigma=sigma,
-            absolute_sigma=absolute_sigma,
-            maxfev=20000,
-        )
-    except RuntimeError as exc:
-        raise FitDivergedError(f"Planck fit did not converge: {exc}") from exc
-    if not np.all(np.isfinite(pcov)):
-        raise MissingFitCovarianceError(
-            "Planck fit covariance is singular; sweep does not constrain both parameters"
-        )
-    gain, noise = popt
+    unit = 0.5 * hf * bandwidth
+    weight = 1.0 / np.broadcast_to(1.0 if sigma is None else sigma, powers.shape)
+    # solved in units of h f B / 2, so the design is O(1)
+    design = np.column_stack([_coth(temperatures, hf), np.ones_like(powers)]) * weight[:, None]
+    cov_ab = _normal_inverse(
+        design, "Planck fit covariance is singular; sweep does not constrain both parameters"
+    ) / unit**2
+    alpha, beta = cov_ab @ (design.T @ (powers * weight)) * unit
+    gain, noise = alpha, 0.5 * (beta / alpha - 1.0)
+    residuals = powers - planck_power(temperatures, gain, noise, frequency, bandwidth)
+    jac = np.array([[1.0, 0.0], [-0.5 * beta / alpha**2, 0.5 / alpha]])  # d(G, n) / d(alpha, beta)
+    pcov = jac @ cov_ab @ jac.T
+    if not absolute_sigma:
+        pcov = pcov * np.sum((residuals * weight) ** 2) / (powers.size - 2)
     sig = np.sqrt(np.diag(pcov))
-    residuals = powers - model(temperatures, gain, noise)
     return PlanckFitResult(
         gain=float(gain),
         added_photons=float(noise),
@@ -199,12 +195,27 @@ def c_lineshape(deltas, gain, eps, modes, temperature):
     return np.reshape(correlation_quantity(amplify(v, amp)), deltas.shape)
 
 
+_MAX_STEPS = 60  # eps steps of the correlation fit; bisection alone needs ~30
+# eps tolerance of the correlation fit, relative to its bound.  At the optimum
+# the steps are roundoff of up to ~2.4e-10 (temp-sweep inputs, seeds 1-30); a
+# tolerance at that floor made the number of steps depend on the last bits.
+_EPS_XTOL = 1e-9
+
+
 def fit_gain_from_correlations(deltas, c_measured, modes, temperature, p0=None):
     """Fit (gain, eps) to a measured correlation lineshape.
 
     ``temperature`` is the assumed effective input temperature; it is held
     fixed, not fitted.  ``eps`` is bounded below the parametric instability
-    at sqrt(gamma_tot_1 gamma_tot_2) / 2.
+    at sqrt(gamma_tot_1 gamma_tot_2) / 2, and the gain below by 1.
+
+    The lineshape is linear in the gain, C = G c1(eps) with c1 the unit-gain
+    lineshape, so G is eliminated as G*(eps) = max(1, <c1, C> / <c1, c1>)
+    (variable projection).  The remaining one-dimensional fit in eps takes
+    Gauss-Newton steps with dc1/deps from a forward difference, each one
+    safeguarded by bisection on the sign of the gradient.  ``p0[1]`` seeds
+    eps.  The covariance comes from the two-parameter Jacobian
+    [c1, G dc1/deps] at the solution, scaled by the reduced chi-square.
     """
     deltas = np.asarray(deltas, dtype=float)
     c_measured = np.asarray(c_measured, dtype=float)
@@ -214,33 +225,33 @@ def fit_gain_from_correlations(deltas, c_measured, modes, temperature, p0=None):
         raise InsufficientDataError("need at least three detuning points")
 
     eps_max = 0.999 * np.sqrt(modes[0].gamma_tot * modes[1].gamma_tot) / 2.0
-
-    def model(d, gain, eps):
-        return c_lineshape(d, gain, eps, modes, temperature)
-
-    if p0 is None:
-        # scale start: peak height against a mid-range eps at unit gain
-        e0 = 0.5 * eps_max
-        c0 = c_lineshape(np.zeros(1), 1.0, e0, modes, temperature)[0]
-        g0 = max(float(np.max(c_measured)) / c0, 1.0)
-        p0 = (g0, e0)
-
-    from scipy.optimize import curve_fit  # only the fits load scipy
-
-    try:
-        popt, pcov = curve_fit(
-            model,
-            deltas,
-            c_measured,
-            p0=p0,
-            bounds=([1.0, 0.0], [np.inf, eps_max]),
-            maxfev=20000,
+    h = np.sqrt(np.finfo(float).eps) * eps_max
+    lo, hi = 0.0, eps_max - h
+    eps = float(np.clip(0.5 * eps_max if p0 is None else p0[1], lo, hi))
+    for _ in range(_MAX_STEPS):
+        c1 = c_lineshape(deltas, 1.0, eps, modes, temperature)
+        dc1 = (c_lineshape(deltas, 1.0, eps + h, modes, temperature) - c1) / h
+        c1c1 = c1 @ c1
+        gain = max(1.0, c1 @ c_measured / c1c1) if c1c1 > 0.0 else 1.0
+        residuals = c_measured - gain * c1
+        # the gain's own column is projected out unless it sits on its bound
+        q = dc1 if gain == 1.0 else dc1 - c1 * (c1 @ dc1) / c1c1
+        slope = dc1 @ residuals  # -d(SSR)/d(eps) / 2G
+        if slope > 0.0:
+            lo = eps
+        else:
+            hi = eps
+        step = slope / (gain * (q @ q))
+        if abs(step) <= _EPS_XTOL * eps_max or hi - lo <= _EPS_XTOL * eps_max:
+            break
+        eps = eps + step if lo < eps + step < hi else 0.5 * (lo + hi)
+    else:
+        raise FitDivergedError(
+            f"correlation-lineshape fit did not converge in {_MAX_STEPS} steps"
         )
-    except RuntimeError as exc:
-        raise FitDivergedError(f"correlation-lineshape fit did not converge: {exc}") from exc
-    if not np.all(np.isfinite(pcov)):
-        raise MissingFitCovarianceError("correlation fit covariance is singular")
-    gain, eps = popt
+    jac = np.column_stack([c1, gain * dc1])
+    pcov = _normal_inverse(jac, "correlation fit covariance is singular")
+    pcov = pcov * (residuals @ residuals) / (deltas.size - 2)
     sig = np.sqrt(np.diag(pcov))
     return CorrelationFitResult(
         gain=float(gain),
@@ -248,7 +259,7 @@ def fit_gain_from_correlations(deltas, c_measured, modes, temperature, p0=None):
         sigma_gain=float(sig[0]),
         sigma_eps=float(sig[1]),
         cov_gain_eps=float(pcov[0, 1]),
-        residuals=c_measured - model(deltas, gain, eps),
+        residuals=residuals,
     )
 
 
@@ -317,8 +328,6 @@ def ppt_temperature_sweep(v_meas_on, v_off, deltas, c_measured, modes, temperatu
     if np.any(np.diff(temperatures) <= 0.0):
         raise ValueError("sweep temperatures must be strictly increasing")
 
-    from scipy.optimize import brentq  # only the fits load scipy
-
     from .entanglement import ppt_min_eigenvalue  # local import avoids a cycle
 
     warm = {"p0": None}
@@ -334,12 +343,26 @@ def ppt_temperature_sweep(v_meas_on, v_off, deltas, c_measured, modes, temperatu
 
     lambdas = np.array([lam_at(t) for t in temperatures])
 
-    crossing = None
     flips = np.nonzero(np.diff(np.sign(lambdas)))[0]
-    if flips.size:
-        i = int(flips[0])
-        crossing = float(brentq(lam_at, temperatures[i], temperatures[i + 1], xtol=1e-7))
-    return lambdas, crossing
+    if not flips.size:
+        return lambdas, None
+    # Illinois false position on the first bracket, from its grid values
+    i = int(flips[0])
+    (a, b), (fa, fb) = temperatures[i : i + 2], lambdas[i : i + 2]
+    side = 0
+    while True:
+        t = (a * fb - b * fa) / (fb - fa)  # the end where fa or fb is 0
+        if b - a <= 1e-7 or fa == 0.0 or fb == 0.0:
+            return lambdas, float(t)
+        ft = lam_at(t)
+        if np.sign(ft) == np.sign(fb):
+            b, fb = t, ft
+            fa = fa / 2.0 if side == 1 else fa
+            side = 1
+        else:
+            a, fa = t, ft
+            fb = fb / 2.0 if side == -1 else fb
+            side = -1
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ data (I1, Q1, I2, Q2, ... ordering, vacuum = identity):
 * partial transposition: minimum eigenvalue of Lambda V Lambda + i Omega,
   negative iff the state is NPT across the transposed cut;
 * a biquadratic witness E(h, g) built from second moments, whose negativity
-  across every bipartition certifies genuine multipartite entanglement.
+  across every bipartition certifies full inseparability (each cut tested
+  with its own (h, g), so not genuine multipartite entanglement).
 
 The witness optimum over (h, g) with ||h||^2 + ||g||^2 = 2 is found exactly
 by an eigenvalue construction: two sign patterns per bipartition, one of

@@ -4,22 +4,27 @@ import numpy as np
 import pytest
 from scipy.constants import hbar as HBAR
 from scipy.constants import k as KB
+from scipy.optimize import brentq, curve_fit
 
 from modecomb import (
     AmplifierModel,
     CalibrationStore,
     CovarianceMatrix,
+    FitDivergedError,
     InsufficientDataError,
+    MissingFitCovarianceError,
     ModeSpec,
     NegativeNoiseError,
     added_noise_from_pump_off,
     amplify,
     build_coupling_matrix,
     c_lineshape,
+    deamplify,
     fit_gain_from_correlations,
     output_covariance,
     planck_fit,
     planck_power,
+    ppt_min_eigenvalue,
     ppt_temperature_sweep,
     scattering_matrices,
     thermal_covariance,
@@ -76,6 +81,44 @@ def test_planck_fit_needs_three_points():
         planck_fit(np.array([0.1, 0.2]), np.array([1.0, 2.0]), 3.8e9)
 
 
+def criterion_07_planck_data():
+    """The noisy Planck sweep of acceptance criterion 07."""
+    temps = np.geomspace(0.01, 4.0, 20)
+    powers = planck_power(temps, 1e8, 0.08, 3.8245e9)
+    rng = np.random.default_rng(20260814)
+    return temps, powers * (1.0 + 0.01 * rng.standard_normal(20))
+
+
+@pytest.mark.parametrize("absolute_sigma", [True, False])
+@pytest.mark.parametrize("weighted", [True, False])
+def test_planck_fit_matches_curve_fit(weighted, absolute_sigma):
+    temps, noisy = criterion_07_planck_data()
+    freq = 3.8245e9
+    sigma = 0.01 * np.abs(noisy) if weighted else None
+    hf = HBAR * TWO_PI * freq
+
+    def jac(t, gain, noise):
+        return np.column_stack([planck_power(t, 1.0, noise, freq), np.full(t.shape, gain * hf)])
+
+    popt, pcov = curve_fit(
+        lambda t, gain, noise: planck_power(t, gain, noise, freq),
+        temps, noisy, p0=(1e8, 0.1), jac=jac, sigma=sigma, absolute_sigma=absolute_sigma,
+    )
+    fit = planck_fit(temps, noisy, freq, sigma=sigma, absolute_sigma=absolute_sigma)
+    assert fit.gain == pytest.approx(popt[0], rel=1e-8)
+    assert fit.added_photons == pytest.approx(popt[1], rel=1e-8)
+    assert fit.sigma_gain == pytest.approx(np.sqrt(pcov[0, 0]), rel=1e-5)
+    assert fit.sigma_noise == pytest.approx(np.sqrt(pcov[1, 1]), rel=1e-5)
+    assert fit.cov_gain_noise == pytest.approx(pcov[0, 1], rel=1e-5)
+
+
+def test_planck_fit_singular_design_has_no_covariance():
+    # hf >> kB T everywhere: coth is 1 at every point, so G and G(2n+1)
+    # enter only through their sum
+    with pytest.raises(MissingFitCovarianceError):
+        planck_fit(np.array([0.001, 0.002, 0.003]), np.ones(3), 3.8245e9)
+
+
 def test_c_lineshape_even_and_peaked():
     deltas = TWO_PI * np.linspace(-60e3, 60e3, 21)
     c = c_lineshape(deltas, 1e8, TWO_PI * 6e3, PAIR, 0.05)
@@ -105,6 +148,50 @@ def test_correlation_fit_noiseless_roundtrip():
     assert fit.eps == pytest.approx(TWO_PI * 6e3, rel=1e-6)
     with pytest.raises(InsufficientDataError):
         fit_gain_from_correlations(deltas[:2], c[:2], PAIR, 0.05)
+
+
+EPS_MAX = 0.999 * np.sqrt(PAIR[0].gamma_tot * PAIR[1].gamma_tot) / 2.0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("temperature", [0.05, 0.3, 0.8])
+def test_correlation_fit_matches_curve_fit(temperature, seed):
+    deltas = TWO_PI * np.linspace(-60e3, 60e3, 41)
+    clean = c_lineshape(deltas, 1e8, TWO_PI * 6e3, PAIR, 0.05)
+    c = clean * (1.0 + 0.005 * np.random.default_rng(seed).standard_normal(41))
+    popt, pcov = curve_fit(
+        lambda d, gain, eps: c_lineshape(d, gain, eps, PAIR, temperature),
+        deltas, c, p0=(1e8, 0.5 * EPS_MAX), bounds=([1.0, 0.0], [np.inf, EPS_MAX]),
+    )
+    fit = fit_gain_from_correlations(deltas, c, PAIR, temperature)
+    assert fit.gain == pytest.approx(popt[0], rel=1e-7)
+    assert fit.eps == pytest.approx(popt[1], rel=1e-7)
+    assert fit.sigma_gain == pytest.approx(np.sqrt(pcov[0, 0]), rel=1e-4)
+    assert fit.sigma_eps == pytest.approx(np.sqrt(pcov[1, 1]), rel=1e-4)
+    assert fit.cov_gain_eps == pytest.approx(pcov[0, 1], rel=1e-4)
+    assert fit.residuals == pytest.approx(
+        c - c_lineshape(deltas, fit.gain, fit.eps, PAIR, temperature), abs=1e-9 * np.max(c)
+    )
+
+
+def test_correlation_fit_gain_stays_at_its_bound():
+    # half the unit-gain lineshape: the unbounded gain would be 0.5
+    deltas = TWO_PI * np.linspace(-60e3, 60e3, 41)
+    c = 0.5 * c_lineshape(deltas, 1.0, TWO_PI * 6e3, PAIR, 0.05)
+    fit = fit_gain_from_correlations(deltas, c, PAIR, 0.05)
+    assert fit.gain == 1.0
+    assert 0.0 < fit.eps < EPS_MAX
+    popt, _ = curve_fit(
+        lambda d, gain, eps: c_lineshape(d, gain, eps, PAIR, 0.05),
+        deltas, c, p0=(1.5, 0.5 * EPS_MAX), bounds=([1.0, 0.0], [np.inf, EPS_MAX]),
+    )
+    assert fit.eps == pytest.approx(popt[1], rel=1e-6)
+
+
+def test_correlation_fit_of_a_zero_lineshape_fails():
+    deltas = TWO_PI * np.linspace(-60e3, 60e3, 41)
+    with pytest.raises((MissingFitCovarianceError, FitDivergedError)):
+        fit_gain_from_correlations(deltas, np.zeros(41), PAIR, 0.05)
 
 
 def test_added_noise_from_pump_off():
@@ -151,6 +238,25 @@ def test_ppt_temperature_sweep_monotone_with_crossing():
         ppt_temperature_sweep(
             v_on, v_off, deltas, c_meas, PAIR, np.array([0.1, 0.1, 0.2])
         )
+
+
+@pytest.mark.parametrize("noise_seed", [None, 4])
+def test_ppt_temperature_sweep_crossing_matches_brentq(noise_seed):
+    v_on, v_off, deltas, c_meas = sweep_inputs()
+    if noise_seed is not None:
+        rng = np.random.default_rng(noise_seed)
+        c_meas = c_meas * (1.0 + 0.005 * rng.standard_normal(c_meas.size))
+    temps = np.linspace(0.05, 0.8, 11)
+    lambdas, crossing = ppt_temperature_sweep(v_on, v_off, deltas, c_meas, PAIR, temps)
+
+    def lam(t):
+        fit = fit_gain_from_correlations(deltas, c_meas, PAIR, t)
+        added = added_noise_from_pump_off(v_off, fit.gain, PAIR, t)
+        amp = AmplifierModel.uniform(2, fit.gain, added)
+        return ppt_min_eigenvalue(deamplify(CovarianceMatrix(2, v_on.v), amp), [1])
+
+    i = int(np.nonzero(np.diff(np.sign(lambdas)))[0][0])
+    assert crossing == pytest.approx(brentq(lam, temps[i], temps[i + 1], xtol=1e-9), abs=1e-7)
 
 
 def test_calibration_store_roundtrip(tmp_path):

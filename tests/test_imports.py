@@ -1,4 +1,4 @@
-"""The package loads scipy only in the fits and the reconstruction LP."""
+"""The package loads scipy only for the reconstruction LP."""
 
 import json
 import os
@@ -9,26 +9,57 @@ import scipy.constants
 
 import modecomb
 from modecomb import constants
-from test_cli import SMALL_MULTIMODE, SMALL_SCATTERING, SMALL_TWOMODE, write_config
+from test_cli import (
+    SMALL_CALIBRATION,
+    SMALL_MULTIMODE,
+    SMALL_SCATTERING,
+    SMALL_TWOMODE,
+    write_config,
+)
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(modecomb.__file__)))
 
-# Runs the given configs in this interpreter, then prints the loaded scipy modules.
+# Runs the given configs and code in this interpreter, then prints the
+# loaded scipy modules.
 PROBE = """\
 import json, sys
 import modecomb
 from modecomb.cli import run_scenario
 for path in sys.argv[1:]:
     run_scenario(path)
+{code}
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
+# The assumed-temperature sweep of test_calibration, crossing included.
+SWEEP = """\
+import numpy as np
+from modecomb import (AmplifierModel, ModeSpec, amplify, build_coupling_matrix,
+                      c_lineshape, output_covariance, ppt_temperature_sweep,
+                      scattering_matrices, thermal_covariance)
+pair = [ModeSpec.from_hz(0, 3.8245e9, 20e3, 20e3), ModeSpec.from_hz(1, 3.8375e9, 20e3, 20e3)]
+eps = 2.0 * np.pi * 6e3
+cm = build_coupling_matrix(pair, probe_omegas=np.array([m.omega for m in pair]) - 2.0 * eps,
+                           couplings={(0, 1): eps})
+g = np.full(2, 2.0 * np.pi * 20e3)
+v_th = thermal_covariance(pair, 0.05)
+amp = AmplifierModel.uniform(2, 1e8, 0.08)
+v_on = amplify(output_covariance(scattering_matrices(cm, g, g).to_quadrature(), v_th,
+                                 v_loss=v_th), amp)
+deltas = 2.0 * np.pi * np.linspace(-60e3, 60e3, 41)
+c_meas = c_lineshape(deltas, 1e8, eps, pair, 0.05)
+_, crossing = ppt_temperature_sweep(v_on, amplify(v_th, amp), deltas, c_meas, pair,
+                                    np.linspace(0.05, 0.8, 11))
+assert crossing is not None
+"""
 
-def loaded_scipy_modules(*configs):
-    """Fresh interpreter: import modecomb, run ``configs``, list scipy modules."""
+
+def loaded_scipy_modules(*configs, code=""):
+    """Fresh interpreter: import modecomb, run ``configs`` and ``code``, list scipy modules."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", PROBE, *map(str, configs)],
+    probe = PROBE.format(code=code)
+    proc = subprocess.run([sys.executable, "-c", probe, *map(str, configs)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -55,9 +86,14 @@ def test_twomode_and_scattering_runs_load_no_scipy(tmp_path):
     assert loaded_scipy_modules(twomode, scattering) == []
 
 
+def test_calibration_run_and_temperature_sweep_load_no_scipy(tmp_path):
+    calibration = write_config(tmp_path, SMALL_CALIBRATION)
+    assert loaded_scipy_modules(calibration, code=SWEEP) == []
+
+
 def test_pool_threads_import_linprog_together(tmp_path):
-    # both workers reach reconstruct's first LP while scipy.optimize is
-    # still loading in the other thread
+    # a multimode run reaches reconstruct's LP, the one user of scipy.optimize;
+    # the workers key is still accepted and runs the intervals serially
     config = write_config(tmp_path, SMALL_MULTIMODE.replace(
         "multimode: {}", "workers: 2\nmultimode: {}"))
     assert "scipy.optimize" in loaded_scipy_modules(config)

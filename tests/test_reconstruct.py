@@ -14,11 +14,10 @@ from modecomb import (
 )
 from modecomb.bases import symplectic_form
 
-cp = pytest.importorskip("cvxpy")
-
 
 def clarabel_objective(v_meas, sigma):
     """Reference minimax objective via the real semidefinite embedding."""
+    cp = pytest.importorskip("cvxpy")
     n = v_meas.shape[0] // 2
     omega = symplectic_form(n)
     v = cp.Variable(v_meas.shape, symmetric=True)
