@@ -344,8 +344,8 @@ def _run_multimode(scfg, out_dir):
             v_hat = v_hat.rotate(np.full(n_sub, phi))
         sigma = propagate_errors(v_hat, amp,
                                  sem=covariance_sem(v_hat, scfg.n_samples))
-        # interval objectives only feed averages, so a loose bisection
-        # width keeps the per-interval cost bounded
+        # interval objectives only feed averages, so a loose bracket width
+        # keeps the per-interval cost low
         rec = reconstruct_physical(deamplify(v_hat, amp), sigma=sigma,
                                    t_width=1e-3, max_iter=30000)
         reports = all_bipartition_reports(rec.v)
@@ -355,6 +355,7 @@ def _run_multimode(scfg, out_dir):
                        entanglement_sigma(sigma, rep.h, rep.g, rep.angles)
                        for rep in reports},
             "objective": rec.objective,
+            "t_lower": rec.t_lower,
             "converged": rec.converged,
             "iq_residual": reports[0].iq_residual,
             "flags": sorted({f for rep in reports for f in rep.flags}
@@ -388,6 +389,8 @@ def _run_multimode(scfg, out_dir):
         })
 
     table["intervals"] = [{"interval": i, "iq_residual": row["iq_residual"],
+                           "reconstruction_objective": row["objective"],
+                           "reconstruction_t_lower": row["t_lower"],
                            "flags": row["flags"]} for i, row in enumerate(rows)]
     flag_counts = Counter(flag for row in rows for flag in row["flags"])
 
@@ -409,6 +412,8 @@ def _run_multimode(scfg, out_dir):
         "ppt_lambda_mean_state": ppt_lambda,
         "reconstruction_objective_mean": float(np.mean(objectives)),
         "reconstruction_objective_max": float(np.max(objectives)),
+        "reconstruction_gap_max": max(row["objective"] - row["t_lower"]
+                                      for row in rows),
         "intervals_converged": int(sum(row["converged"] for row in rows)),
         "intervals_flagged": sum(bool(row["flags"]) for row in rows),
         "flag_counts": dict(flag_counts),
@@ -446,8 +451,8 @@ def _run_calibration(scfg, out_dir):
 
     if sec["planck"] is not None:
         p = sec["planck"]
-        freq = TWO_PI * p["freq_hz"]
-        bandwidth = TWO_PI * p["bandwidth_hz"]
+        freq = p["freq_hz"]
+        bandwidth = p["bandwidth_hz"]
         if p["data_csv"] is not None:
             data = _load_data_csv("planck", p["data_csv"])
             temps, powers = data[:, 0], data[:, 1]

@@ -7,25 +7,33 @@ element:
 
     minimize t  subject to  |V_ij - V_meas_ij| <= t sigma_ij,  V + i Omega >= 0.
 
-The outer search bisects on t.  Each feasibility test maximizes the
-smallest eigenvalue of V + i Omega over the element-wise box by projected
-supergradient ascent (lambda_min is concave, the box is convex).  Both
-possible verdicts are certificates: a point with lambda_min >= 0 is a
-physical matrix inside the box, and a linearization gap
-lambda + <grad, W - x> < 0 at the box maximizer W bounds the achievable
-maximum below zero.  Near-tangent instances where the ascent cycles fall
-back on a cutting-plane envelope whose box maximum (a small LP) bounds
-max lambda_min from above; see _decide_feasible.  Plain alternating
-projections (box clip <-> Hermitian eigenvalue clip) are kept for
-repairing small eigenvalue dips and for seeding the upper bound; as a
-feasibility decider they stall near tangent configurations, which is not
-good enough for the oracle-level accuracy the objective is held to.
+This is a small semidefinite program, solved to a certified bracket
+[t_lower, t_upper] on its optimum (Vandenberghe & Boyd, SIAM Rev. 38, 49
+(1996); Boyd & Vandenberghe, Convex Optimization, secs. 5.9 and 11.6):
+
+* every physical V inside the box bounds t from above;
+* every Hermitian Z >= 0 bounds it from below (weak duality): a physical
+  V = V_meas + D with |D_ij| <= t sigma_ij has
+  0 <= tr Z(V + i Omega) <= tr Z(V_meas + i Omega) + t sum sigma_ij |Re Z_ij|,
+  so t >= -tr Z(V_meas + i Omega) / sum sigma_ij |Re Z_ij|.
+
+The rank-1 Z = z z^dagger of the lowest eigenvector of V_meas + i Omega
+gives the first lower bound.  A log-barrier path-following method then
+walks through strictly physical points inside the box: at each Newton
+iterate, one eigendecomposition of X = V + i Omega gives its V as an upper
+bound and Z = X^-1, the dual point of the central path, as a lower bound,
+and a second one prices the line search of the step.
+The bracket shrinks geometrically with the barrier weight, also on the
+near-tangent instances whose optimal Z has rank 2, and the search stops
+once it is t_width wide.  Plain alternating projections (box clip <->
+Hermitian eigenvalue clip) are kept for repairing small eigenvalue dips.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,21 +46,26 @@ T_WIDTH = 1e-6
 FEAS_TOL = 1e-9
 MAX_ITER = 120000
 PROJECT_SWEEPS = 2000
-CAP_FLOOR = 200
-CAP_PAD = 300
-CAP_SLOPE = 10.0
-WIDTH_FLOOR = 2e-5
-LP_FIRST = 64
-LP_KEEP = 80
-LP_MARGIN = 1e-10
+START_LIFT = 1.1
+TAU_GROWTH = 10.0
+CENTERED = 1.0
+GAP_REL = 1e-9
+BOUNDARY = 0.6
+ARMIJO = 0.25
 
 
 @dataclass
 class ReconstructionResult:
-    """Outcome of a physicality reconstruction."""
+    """Outcome of a physicality reconstruction.
+
+    ``[t_lower, objective]`` brackets the optimal t: ``objective`` is
+    realized by the physical ``v``, and ``t_lower`` is certified by a dual
+    matrix.
+    """
 
     v: CovarianceMatrix
     objective: float
+    t_lower: float
     iterations: int
     converged: bool
     sigma_floored: bool = False
@@ -72,8 +85,7 @@ def project_physical(v, tol=FEAS_TOL, max_iter=PROJECT_SWEEPS):
     """A physical covariance near ``v`` by alternating projections.
 
     Converges to a point of the physicality cone (not necessarily the
-    nearest); used to seed the reconstruction upper bound and to repair
-    small eigenvalue dips before sampling.
+    nearest); a cheap repair for small eigenvalue dips.
     """
     arr = np.asarray(v.v if isinstance(v, CovarianceMatrix) else v, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2:
@@ -88,132 +100,133 @@ def project_physical(v, tol=FEAS_TOL, max_iter=PROJECT_SWEEPS):
     return CovarianceMatrix(n, x)
 
 
-def _envelope_test(cut_g, cut_b, lo, hi, iu):
-    """Maximum of the cutting-plane model of lambda_min over the box.
+def _dual_bound(z, h0, sigma):
+    """Lower bound on the reconstruction objective from Hermitian ``z`` >= 0.
 
-    Every recorded cut overestimates the concave lambda_min, so the model
-    maximum bounds max_box lambda_min from above.  Returns (s_max, argmax)
-    or (None, None) when the LP solver fails.
+    ``h0`` is V_meas + i Omega; the bound is
+    -tr(z h0) / sum sigma_ij |Re z_ij|, which no physical matrix within
+    t sigma of V_meas can beat (weak duality).
     """
-    from scipy.optimize import linprog  # only near-tangent instances get here
-
-    m = lo.shape[0]
-    nv = len(iu[0])
-    k = len(cut_g)
-    a = np.empty((k, nv + 1))
-    a[:, :nv] = -np.asarray(cut_g)
-    a[:, nv] = 1.0
-    bounds = list(zip(lo[iu], hi[iu])) + [(None, None)]
-    res = linprog(
-        c=np.concatenate([np.zeros(nv), [-1.0]]),
-        A_ub=a,
-        b_ub=np.asarray(cut_b),
-        bounds=bounds,
-        method="highs",
-    )
-    if not res.success:
-        return None, None
-    v = np.zeros((m, m))
-    v[iu] = res.x[:nv]
-    v = v + v.T - np.diag(np.diag(v))
-    return float(res.x[-1]), v
+    return -np.vdot(h0, z).real / float(np.vdot(sigma, np.abs(z.real)))
 
 
-def _decide_feasible(x_start, lo, hi, omega, max_iter):
-    """Does the box [lo, hi] contain a physical matrix?
+@lru_cache(maxsize=None)
+def _pairs(m):
+    """Upper-triangle indices, their weights, and the gather of the Hessian.
 
-    Projected supergradient ascent on lambda_min(V + i Omega) over the box
-    with Barzilai-Borwein steps decides easy instances in a few dozen
-    eigendecompositions, with two one-shot certificates per iterate: a
-    physical point proves feasibility, and a negative corner linearization
-    proves infeasibility.  Near-tangent instances where the ascent cycles
-    are handled by a cutting-plane envelope: each iterate contributes the
-    overestimate lambda_min(V) <= lam_i + <g_i, V - x_i>, and at
-    exponentially spaced iterations the envelope maximum over the box (a
-    small LP) either certifies infeasibility or restarts the ascent from
-    its argmax (Kelley step).  Returns (verdict, point, iters) with verdict
-    +1 (point is physical and inside the box), -1 (certified infeasible)
-    or 0 (iteration budget exhausted, undecided).
+    For E_p = e_i e_j^T + e_j e_i^T (e_i e_i^T on the diagonal) the Hessian
+    of -log det X is tr(Y E_p Y E_q) = 2 h_p h_q Re(conj(Y[i_p, j_q])
+    Y[j_p, i_q] + conj(Y[i_p, i_q]) Y[j_p, j_q]), with Y = X^-1 and h = 1/2
+    on the diagonal, 1 off it.
     """
-    x = np.clip(x_start, lo, hi)
-    x = 0.5 * (x + x.T)
-    iu = np.triu_indices(x.shape[0])
-    wts = np.where(iu[0] == iu[1], 1.0, 2.0)
-    cut_g = []
-    cut_b = []
-    next_lp = LP_FIRST
-    eta = None
-    g_prev = None
-    x_prev = None
-    for it in range(1, max_iter + 1):
-        w, u = np.linalg.eigh(x.astype(complex) + 1j * omega)
-        lam = w[0]
-        if lam >= 0.0:
-            return 1, x, it
-        u0 = u[:, 0]
-        grad = np.real(np.outer(u0, np.conj(u0)))
-        grad = 0.5 * (grad + grad.T)
-        w_box = np.where(grad > 0, hi, lo)
-        gap = float(np.sum(grad * (w_box - x)))
-        if lam + gap < 0.0:
-            return -1, x, it
-        g_vec = grad[iu] * wts
-        cut_g.append(g_vec)
-        cut_b.append(lam - float(g_vec @ x[iu]))
-        if len(cut_g) > LP_KEEP:
-            del cut_g[0]
-            del cut_b[0]
-        if it >= next_lp:
-            next_lp = 2 * it
-            s_max, v_model = _envelope_test(cut_g, cut_b, lo, hi, iu)
-            if s_max is not None:
-                if s_max < -LP_MARGIN:
-                    return -1, x, it
-                x = np.clip(v_model, lo, hi)
-                x = 0.5 * (x + x.T)
-                eta = None
-                g_prev = None
-                x_prev = None
-                continue
-        if x_prev is not None:
-            dx = (x - x_prev).ravel()
-            dg = (grad - g_prev).ravel()
-            denom = -float(dx @ dg)  # concave: curvature along dx is negative
-            if denom > 0.0:
-                eta = float(dx @ dx) / denom
-        if eta is None or not np.isfinite(eta) or eta <= 0.0:
-            span = float(np.max(hi - lo))
-            eta = span / max(1.0, float(np.abs(grad).max()))
-        x_prev, g_prev = x, grad
-        x = np.clip(x + eta * grad, lo, hi)
-        x = 0.5 * (x + x.T)
-    if cut_g:
-        s_max, v_model = _envelope_test(cut_g, cut_b, lo, hi, iu)
-        if s_max is not None:
-            if s_max < -LP_MARGIN:
-                return -1, x, max_iter
-            v_model = np.clip(v_model, lo, hi)
-            v_model = 0.5 * (v_model + v_model.T)
-            if min_physicality_eigenvalue(v_model) >= 0.0:
-                return 1, v_model, max_iter
-    return 0, x, max_iter
+    iu, ju = np.triu_indices(m)
+    half = np.where(iu == ju, 0.5, 1.0)
+    gather = np.stack([iu[:, None] * m + ju, ju[:, None] * m + iu,
+                       iu[:, None] * m + iu, ju[:, None] * m + ju])
+    shared = (iu, ju, half, 2.0 * np.outer(half, half), gather)
+    for arr in shared:
+        arr.flags.writeable = False  # every caller gets these same arrays
+    return shared
 
 
-def _lower_bound(arr, sig, omega):
-    """Eigenvector certificate: any physical matrix within t sigma of the
-    data must lift every negative eigenvalue of V + i Omega, and the lift a
-    box of half-width t sigma can produce along eigenvector u is at most
-    t |u|^T sigma |u|."""
-    w, u = np.linalg.eigh(arr.astype(complex) + 1j * omega)
-    t_lo = 0.0
-    for k in range(len(w)):
-        if w[k] >= 0.0:
+def _line_step(slope, rates, decrement):
+    """Backtracking (Armijo) step on slope * alpha - sum log(1 + alpha * rates).
+
+    That function is the change of the barrier objective along the Newton
+    step.  The search starts at the full step, or at BOUNDARY of the way to
+    the edge of the domain if that is nearer.  Returns 0 when no step of
+    at least 1e-12 decreases it, which only rounding can cause.
+    """
+    neg = rates < 0.0
+    alpha = min(1.0, BOUNDARY * float(np.min(-1.0 / rates[neg]))) if neg.any() else 1.0
+    while (alpha * slope - float(np.sum(np.log1p(alpha * rates)))
+           > -ARMIJO * alpha * decrement**2):
+        alpha *= 0.5
+        if alpha < 1e-12:
+            return 0.0
+    return alpha
+
+
+def _barrier_bracket(arr, sig, h0, lam_min, t_lower, t_width, max_iter):
+    """Path-follow min tau t - log det X - sum log(t sigma -+ D) over (t, D).
+
+    Returns (best point, t_upper, t_lower, eigendecompositions).  Every
+    iterate is strictly physical and strictly inside its box: Newton steps
+    go at most BOUNDARY of the way to the edge of the domain and backtrack
+    until the barrier objective drops.  tau grows by TAU_GROWTH whenever
+    the Newton decrement says the iterate is centred.
+    """
+    m = arr.shape[0]
+    iu, ju, half, hh, gather = _pairs(m)
+    sp = sig[iu, ju]
+    npar = iu.size
+    # start strictly inside: lift the diagonal past the most negative
+    # eigenvalue lam_min of h0, with t twice what that lift needs
+    d = np.where(iu == ju, -START_LIFT * lam_min, 0.0)
+    t = 2.0 * float(np.max(np.abs(d) / sp))
+    tau = (m + 2 * npar) / t
+    dmat = np.zeros((m, m))
+    best, t_upper = None, np.inf
+    hess = np.empty((npar + 1, npar + 1))
+    grad = np.empty(npar + 1)
+    iters = 0
+    while True:
+        dmat[iu, ju] = d
+        dmat[ju, iu] = d
+        w, u = np.linalg.eigh(h0 + dmat)
+        iters += 1
+        a = t * sp - d
+        b = t * sp + d
+        if min(w[0], a.min(), b.min()) <= 0.0:
+            break  # rounding pushed the step out of the domain
+        y = (u / w) @ u.conj().T
+        point = arr + dmat
+        realized = float(np.max(np.abs(point - arr) / sig))
+        if realized < t_upper:
+            best, t_upper = point, realized
+        t_lower = max(t_lower, _dual_bound(y, h0, sig))
+        # a step costs this eigendecomposition and the next point's
+        if t_upper - t_lower <= max(t_width, GAP_REL * t_upper) or iters + 2 > max_iter:
             break
-        au = np.abs(u[:, k])
-        denom = float(au @ sig @ au)
-        if denom > 0.0:
-            t_lo = max(t_lo, -w[k] / denom)
-    return t_lo
+        ia2, ib2 = 1.0 / a**2, 1.0 / b**2
+        pull = sp @ (1.0 / a + 1.0 / b)
+        grad[1:] = 1.0 / a - 1.0 / b - 2.0 * half * y.real[iu, ju]
+        g = y.ravel()[gather]
+        hess[1:, 1:] = hh * (g[0].conj() * g[1] + g[2].conj() * g[3]).real
+        hess.flat[npar + 2::npar + 2] += ia2 + ib2
+        hess[0, 0] = sp**2 @ (ia2 + ib2)
+        hess[0, 1:] = hess[1:, 0] = sp * (ib2 - ia2)
+        # tau enters only the gradient, so a centred iterate moves on to the
+        # next tau without another eigendecomposition
+        decrement = 0.0
+        while decrement <= CENTERED:
+            grad[0] = tau - pull
+            try:
+                step = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                return best, t_upper, t_lower, iters
+            decrement = float(np.sqrt(max(-grad @ step, 0.0)))
+            if not np.isfinite(decrement):
+                return best, t_upper, t_lower, iters
+            if decrement <= CENTERED:
+                tau *= TAU_GROWTH
+        # along the step log det X changes by sum log(1 + alpha mu), with mu
+        # the eigenvalues of X^-1/2 dX X^-1/2, so one more eigendecomposition
+        # prices the whole line search
+        dmat[iu, ju] = step[1:]
+        dmat[ju, iu] = step[1:]
+        v = u / np.sqrt(w)
+        mu = np.linalg.eigvalsh(v.conj().T @ dmat @ v)
+        iters += 1
+        rates = np.concatenate(
+            (mu, (step[0] * sp - step[1:]) / a, (step[0] * sp + step[1:]) / b)
+        )
+        alpha = _line_step(tau * step[0], rates, decrement)
+        if alpha == 0.0:
+            break
+        t += alpha * step[0]
+        d = d + alpha * step[1:]
+    return best, t_upper, t_lower, iters
 
 
 def reconstruct_physical(
@@ -235,20 +248,19 @@ def reconstruct_physical(
         with a warning, since a hard equality constraint would make the
         problem infeasible for generic noise.
     t_width : float
-        Absolute bisection width on the objective t.
+        Width of the certified bracket on t at which the search stops.
     max_iter : int
-        Total eigendecomposition budget across all feasibility decisions
-        of the bisection, shared out per step in proportion to how much a
-        wrong verdict at the current interval width could cost.
+        Eigendecomposition budget of the search.
 
     Returns
     -------
     ReconstructionResult
         ``objective`` is the realized max |V - V_meas| / sigma of the
-        returned physical matrix (an upper bound on the true minimax
-        value, tight to well below ``100 * t_width``), ``converged``
-        reflects whether every feasibility test reached a clear verdict
-        at the widths where it matters.
+        returned physical matrix and ``t_lower`` a certified lower bound
+        on the optimum, at most ``t_width`` below it (or ``1e-9`` of it,
+        where rounding allows no finer bracket).  ``converged`` is false,
+        with a warning and a flag, when the bracket stayed wider than
+        that.
     """
     arr = np.asarray(
         v_meas.v if isinstance(v_meas, CovarianceMatrix) else v_meas, dtype=float
@@ -259,7 +271,6 @@ def reconstruct_physical(
         raise DimensionMismatchError("measured covariance must be symmetric")
     arr = 0.5 * (arr + arr.T)
     n = arr.shape[0] // 2
-    omega = symplectic_form(n)
 
     if sigma is None:
         sig = np.ones_like(arr)
@@ -281,86 +292,30 @@ def reconstruct_physical(
         )
         sig = np.maximum(sig, SIGMA_FLOOR)
 
-    # fast path: already physical (tolerance matches the feasibility test, so
-    # reconstructing twice is idempotent with objective 0 on the second pass)
-    if min_physicality_eigenvalue(arr) >= -feas_tol:
+    # fast path: already physical (reconstructing twice is idempotent with
+    # objective 0 on the second pass)
+    h0 = arr + 1j * symplectic_form(n)
+    w, u = np.linalg.eigh(h0)
+    if w[0] >= -feas_tol:
         return ReconstructionResult(
             v=CovarianceMatrix(n, arr),
             objective=0.0,
+            t_lower=0.0,
             iterations=0,
             converged=True,
             sigma_floored=floored,
         )
 
-    # upper bound from any physical point, lower bound from the eigenvector
-    # certificate; bisection only has to close the remaining interval
-    anchor = np.asarray(project_physical(arr, tol=feas_tol).v, dtype=float)
-    t_hi = float(np.max(np.abs(anchor - arr) / sig))
-    t_lo = min(_lower_bound(arr, sig, omega), t_hi)
-    best = anchor
-    x_carry = arr.copy()
-    total_iters = 0
-    undecided_width = 0.0
-
-    # An undecided step is treated as infeasible.  That can only inflate the
-    # final objective, never undercut it (t_hi moves only onto certified
-    # physical points), and the inflation is bounded by the interval width
-    # at that step, so narrow steps get along with a small iteration cap.
-    while t_hi - t_lo > t_width:
-        width = t_hi - t_lo
-        t_mid = 0.5 * (t_lo + t_hi)
-        remaining = max_iter - total_iters
-        if remaining <= CAP_FLOOR:
-            undecided_width = max(undecided_width, width)
-            break
-        cap = max(
-            CAP_FLOOR,
-            min(
-                remaining // 3,
-                int(CAP_SLOPE * max(t_hi, t_width) / max(width, WIDTH_FLOOR))
-                + CAP_PAD,
-            ),
-        )
-        verdict, x_out, iters = _decide_feasible(
-            x_carry, arr - t_mid * sig, arr + t_mid * sig, omega, cap
-        )
-        total_iters += iters
-        # an undecided verdict at a width that would be visible in the
-        # objective is worth escalating while the budget holds out
-        while (
-            verdict == 0
-            and width > 10.0 * t_width
-            and max_iter - total_iters > 2 * CAP_FLOOR
-        ):
-            cap = max(CAP_FLOOR, min((max_iter - total_iters) // 2, 2 * cap))
-            verdict, x_out, iters = _decide_feasible(
-                x_out, arr - t_mid * sig, arr + t_mid * sig, omega, cap
-            )
-            total_iters += iters
-        x_carry = x_out
-        if verdict == 1:
-            t_hi, best = t_mid, x_out
-        else:
-            t_lo = t_mid
-            if verdict == 0:
-                undecided_width = max(undecided_width, width)
-
-    # shifting by the residual violation restores positivity exactly and
-    # costs at most that violation over the smallest diagonal sigma
-    lift = -min_physicality_eigenvalue(best)
-    if lift > 0.0:
-        best = best + lift * np.eye(best.shape[0])
-
-    realized = float(np.max(np.abs(best - arr) / sig))
+    z = np.outer(u[:, 0], u[:, 0].conj())
+    best, realized, t_lower, iters = _barrier_bracket(
+        arr, sig, h0, w[0], max(0.0, _dual_bound(z, h0, sig)), t_width, max_iter
+    )
     flags = []
-    min_eig = min_physicality_eigenvalue(best)
-    if min_eig < -10.0 * feas_tol:
-        flags.append("cone_residual_above_tolerance")
-    undecided = undecided_width > 100.0 * t_width
-    if undecided:
+    converged = realized - t_lower <= max(t_width, GAP_REL * realized)
+    if not converged:
         warnings.warn(
-            "undecided feasibility steps at interval width "
-            f"{undecided_width:.2e}; objective may be loose by that much",
+            f"reconstruction bracket [{t_lower:.6g}, {realized:.6g}] is wider "
+            f"than t_width = {t_width:g} after {iters} eigendecompositions",
             NonConvergenceWarning,
             stacklevel=2,
         )
@@ -368,8 +323,9 @@ def reconstruct_physical(
     return ReconstructionResult(
         v=CovarianceMatrix(n, best),
         objective=realized,
-        iterations=total_iters,
-        converged=not undecided,
+        t_lower=t_lower,
+        iterations=iters,
+        converged=converged,
         sigma_floored=floored,
         flags=flags,
     )

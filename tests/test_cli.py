@@ -240,6 +240,24 @@ def test_calibration_pipeline_run(tmp_path):
     assert store.eps == pytest.approx(2 * np.pi * 6e3, rel=1e-4)
 
 
+def test_planck_data_csv_fits_back_its_own_parameters(tmp_path):
+    # the fit takes the load frequency in Hz, as planck_power does
+    temps = np.geomspace(0.01, 4.0, 15)
+    powers = modecomb.planck_power(temps, 1e8, 0.08, 3.8245e9)
+    data = tmp_path / "planck.csv"
+    data.write_text("temp_k,power\n" + "".join(
+        f"{t!r},{p!r}\n" for t, p in zip(temps.tolist(), powers.tolist())))
+    cfg = SMALL_CALIBRATION.replace(
+        "    temp_start_k: 0.01\n    temp_stop_k: 4.0\n    temp_count: 15\n"
+        "    temp_spacing: geometric\n    noise_rel: 0.01\n",
+        f"    data_csv: {data}\n",
+    )
+    cfg = cfg[: cfg.index("  correlation:")]
+    report = run_scenario(write_config(tmp_path, cfg))
+    assert report.metrics["planck"]["gain"] == pytest.approx(1e8, rel=1e-9)
+    assert report.metrics["planck"]["added_photons"] == pytest.approx(0.08, rel=1e-9)
+
+
 def test_scattering_pipeline_run(tmp_path):
     path = write_config(tmp_path, SMALL_SCATTERING)
     report = run_scenario(path)

@@ -1,4 +1,4 @@
-"""The package loads scipy only for the reconstruction LP."""
+"""No pipeline loads scipy; the tests use it only as an independent oracle."""
 
 import json
 import os
@@ -91,11 +91,11 @@ def test_calibration_run_and_temperature_sweep_load_no_scipy(tmp_path):
     assert loaded_scipy_modules(calibration, code=SWEEP) == []
 
 
-def test_pool_threads_import_linprog_together(tmp_path):
-    # a multimode run reaches reconstruct's LP, the one user of scipy.optimize;
+def test_multimode_run_loads_no_scipy(tmp_path):
+    # the reconstruction brackets each interval by duality, without an LP;
     # the workers key is still accepted and runs the intervals serially
     config = write_config(tmp_path, SMALL_MULTIMODE.replace(
         "multimode: {}", "workers: 2\nmultimode: {}"))
-    assert "scipy.optimize" in loaded_scipy_modules(config)
+    assert loaded_scipy_modules(config) == []
     with open(tmp_path / "out" / "report.json") as fh:
         assert json.load(fh)["metrics"]["intervals_converged"] == 5

@@ -1,4 +1,4 @@
-"""Minimax physical-state reconstruction against an independent SDP oracle."""
+"""Minimax physical-state reconstruction: certified brackets and an SDP oracle."""
 
 import numpy as np
 import pytest
@@ -31,11 +31,14 @@ def clarabel_objective(v_meas, sigma):
     return float(t.value)
 
 
-def perturbed_case(rng, n_modes, noise=0.05):
+def physical_case(rng, n_modes):
     if n_modes == 1:
-        base = np.diag(np.full(2, rng.uniform(1.0, 3.0)))
-    else:
-        base = two_mode_squeezed_covariance(rng.uniform(0.2, 0.9)).v
+        return np.diag(np.full(2, rng.uniform(1.0, 3.0)))
+    return two_mode_squeezed_covariance(rng.uniform(0.2, 0.9)).v
+
+
+def perturbed_case(rng, n_modes, noise=0.05):
+    base = physical_case(rng, n_modes)
     pert = rng.normal(0.0, noise, base.shape)
     return base + (pert + pert.T) / 2.0
 
@@ -52,6 +55,7 @@ def test_uniform_inflation_case():
     # diag(0.5): nearest physical point in units of sigma = 0.1 is vacuum
     res = reconstruct_physical(np.diag([0.5, 0.5]), sigma=0.1, t_width=1e-6)
     assert res.objective == pytest.approx(5.0, abs=1e-4)
+    assert res.objective - 1e-6 <= res.t_lower <= res.objective
     assert np.max(np.abs(res.v.v - np.eye(2))) < 1e-4
     assert res.converged
 
@@ -106,3 +110,44 @@ def test_result_is_physical_and_in_box(seed, noise):
     assert res.v.min_physicality_eigenvalue() >= -1e-8
     realized = np.max(np.abs(res.v.v - vm) / 0.05)
     assert realized <= res.objective + 1e-9
+
+
+def test_criterion_06_instances_are_bracketed():
+    # the instances of acceptance criterion 06, certified without a solver
+    rng = np.random.default_rng(20260814)
+    for i in range(100):
+        vm = perturbed_case(rng, 1 + (i % 2))
+        res = reconstruct_physical(vm, sigma=0.05, t_width=1e-5)
+        assert res.converged, i
+        assert res.v.min_physicality_eigenvalue() >= 0.0, i
+        assert res.t_lower <= res.objective, i
+        assert res.objective - res.t_lower <= 1e-4, i
+        assert np.max(np.abs(res.v.v - vm) / 0.05) == res.objective
+
+
+def test_exhausted_budget_is_flagged_and_stays_certified():
+    vm = perturbed_case(np.random.default_rng(5), 2, noise=0.2)
+    with pytest.warns(NonConvergenceWarning):
+        res = reconstruct_physical(vm, sigma=0.05, t_width=1e-9, max_iter=3)
+    assert not res.converged
+    assert "iteration_cap_reached" in res.flags
+    assert res.iterations <= 3
+    assert res.v.min_physicality_eigenvalue() >= 0.0
+    assert res.t_lower <= res.objective
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 2), st.floats(0.02, 0.3))
+def test_lower_bound_never_exceeds_the_true_state(seed, n_modes, noise):
+    # weak duality: the physical state the noise was added to lies within
+    # max |V_true - V_meas| / sigma of the data, so no certified lower
+    # bound may exceed that
+    rng = np.random.default_rng(seed)
+    v_true = physical_case(rng, n_modes)
+    pert = rng.normal(0.0, noise, v_true.shape)
+    vm = v_true + (pert + pert.T) / 2.0
+    sigma = rng.uniform(0.02, 0.1, vm.shape)
+    sigma = (sigma + sigma.T) / 2.0
+    res = reconstruct_physical(vm, sigma=sigma, t_width=1e-4)
+    assert res.t_lower <= np.max(np.abs(v_true - vm) / sigma)
+    assert res.t_lower <= res.objective
