@@ -27,7 +27,7 @@ import numpy as np
 
 from .constants import hbar as _HBAR
 from .constants import k as _KB
-from .coupling_graph import build_coupling_matrix
+from .coupling_graph import dressed_frequencies
 from .errors import (
     DimensionMismatchError,
     FitDivergedError,
@@ -46,7 +46,7 @@ from .gaussian_state import (
     thermal_covariance,
 )
 from .modesys import ModeSpec
-from .scattering import scattering_matrices
+from .scattering import network
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +181,11 @@ def c_lineshape(deltas, gain, eps, modes, temperature):
     deltas = np.asarray(deltas, dtype=float)
     if len(modes) != 2:
         raise DimensionMismatchError("the correlation lineshape is a two-mode model")
-    omegas = np.array([m.omega for m in modes])
-    gamma_ext = np.array([m.gamma_ext for m in modes])
-    gamma_int = np.array([m.gamma_int for m in modes])
+    couplings = {(0, 1): eps}
     v_th = thermal_covariance(modes, temperature)
     amp = AmplifierModel.uniform(2, max(gain, 1.0), 0.0)
-    shift = 2.0 * abs(eps)
-    probe = omegas - shift + deltas[..., None] * np.array([1.0, -1.0])
-    cm = build_coupling_matrix(modes, probe_omegas=probe, couplings={(0, 1): eps})
-    pair = scattering_matrices(cm, gamma_ext, gamma_int).to_quadrature()
+    probe = dressed_frequencies(modes, couplings) + deltas[..., None] * np.array([1.0, -1.0])
+    pair = network(modes, couplings, probe).to_quadrature()
     v = output_covariance(pair, v_th, v_loss=v_th)
     # the amplifier's added noise is diagonal, so it drops out of C
     return np.reshape(correlation_quantity(amplify(v, amp)), deltas.shape)

@@ -55,9 +55,8 @@ from .bases import mode_rotation
 from .config import TWO_PI, load_config, validate_config
 from .coupling_graph import (
     assign_probe_frequencies,
-    build_coupling_matrix,
+    dressed_frequencies,
     match_four_wave,
-    mode_frequency_shifts,
     pair_couplings,
 )
 from .entanglement import (
@@ -84,7 +83,7 @@ from .gaussian_state import (
 )
 from .modesys import PumpTone
 from .reconstruct import reconstruct_physical
-from .scattering import export_db_table, magnitude_db, scattering_matrices
+from .scattering import export_db_table, magnitude_db, network
 
 # ---------------------------------------------------------------------------
 # Shared pipeline plumbing
@@ -180,14 +179,9 @@ def _network(scfg, couplings, probe_omegas=None):
     ``probe_omegas`` of shape (K, N) gives a stack of K networks. A pump
     above threshold is a config problem unless the config allows it.
     """
-    modes = scfg.system.modes
-    gamma_ext = np.array([m.gamma_ext for m in modes])
-    gamma_int = np.array([m.gamma_int for m in modes])
-    cm = build_coupling_matrix(modes, probe_omegas=probe_omegas,
-                               couplings=couplings)
     try:
-        return scattering_matrices(cm, gamma_ext, gamma_int,
-                                   allow_unstable=scfg.allow_unstable)
+        return network(scfg.system.modes, couplings, probe_omegas,
+                       scfg.allow_unstable)
     except UnstablePumpError as exc:
         raise ConfigError(
             f"{exc}; set 'coupling: {{allow_unstable: true}}' to run the "
@@ -214,10 +208,7 @@ def _run_twomode(scfg, out_dir):
         raise ConfigError(
             f"config field 'twomode.pair': no pump couples modes "
             f"{pair[0]} and {pair[1]}; check the pump frequencies")
-    shifts = mode_frequency_shifts(n, couplings)
-    dressed = np.array([m.omega for m in modes]) - shifts
     amp = scfg.amplifier.amplifier(n)
-    v_th = thermal_covariance(modes, scfg.temperature)
 
     blocks = max(2, 2 * int(round(sec["chop_hz"] * scfg.interval_seconds / 2.0)))
     detunings = np.linspace(sec["detuning_start_hz"], sec["detuning_stop_hz"],
@@ -225,15 +216,11 @@ def _run_twomode(scfg, out_dir):
 
     # one stacked network per pump state, one row per detuning
     deltas = TWO_PI * np.asarray(detunings, dtype=float)
-    probes = np.tile(dressed, (len(detunings), 1))
+    probes = np.tile(dressed_frequencies(modes, couplings), (len(detunings), 1))
     probes[:, pair[0]] += deltas
     probes[:, pair[1]] -= deltas
-
-    def measured_states(pump_couplings):
-        net = _network(scfg, pump_couplings, probe_omegas=probes).to_quadrature()
-        return amplify(output_covariance(net, v_th, v_loss=v_th), amp).v
-
-    v_on_all, v_off_all = measured_states(couplings), measured_states({})
+    v_on_all, v_off_all = (amplify(_output_state(scfg, c, probes), amp).v
+                           for c in (couplings, {}))
 
     rows_per_state = scfg.n_samples * (blocks // 2)  # per interval
 
@@ -586,30 +573,31 @@ def _run_scattering(scfg, out_dir):
         pumps = comb_at(spacings[s_idx])
         matches, couplings = _couplings_for(scfg, pumps=pumps, tolerance=tol)
         probes, _ = assign_probe_frequencies(modes, matches, couplings)
-        return len(matches), _network(scfg, couplings, probe_omegas=probes).s
+        return len(matches), _network(scfg, couplings, probe_omegas=probes)
 
     results = [one_spacing(s_idx) for s_idx in range(len(spacings))]
+    nominal_idx = int(np.argmin(np.abs(spacings - nominal)))
+    ladder = results[nominal_idx][1]
+    reference = (sec["ref_out"], sec["ref_in"])
+    if ladder.s[reference] == 0.0:
+        raise ConfigError(
+            f"config field 'scattering.ref_out', 'scattering.ref_in': S{reference} "
+            f"is zero at the nominal spacing and cannot be the dB reference")
 
     labels = [f"b{j}" for j in range(n)] + [f"bdag{j}" for j in range(n)]
     files = [_write_csv(
         out_dir, "scattering_sweep.csv",
         ["spacing_hz", "n_matches", "out", "in", "mag_db", "phase_rad"],
-        ([s, n_match, labels[r], labels[c], magnitude_db(s_mat[r, c]),
-          np.angle(s_mat[r, c])]
-         for s, (n_match, s_mat) in zip(spacings, results)
-         for r, c in np.ndindex(s_mat.shape)))]
-
-    nominal_idx = int(np.argmin(np.abs(spacings - nominal)))
-    pumps = comb_at(spacings[nominal_idx])
-    matches, couplings = _couplings_for(scfg, pumps=pumps, tolerance=tol)
-    probes, _ = assign_probe_frequencies(modes, matches, couplings)
-    ladder = _network(scfg, couplings, probe_omegas=probes)
+        ([s, n_match, labels[r], labels[c], magnitude_db(net.s[r, c]),
+          np.angle(net.s[r, c])]
+         for s, (n_match, net) in zip(spacings, results)
+         for r, c in np.ndindex(net.s.shape)))]
     export_db_table(ladder, os.path.join(out_dir, "scattering_matched.csv"),
-                    reference=(sec["ref_out"], sec["ref_in"]))
+                    reference=reference)
     files.append("scattering_matched.csv")
 
-    gains_db = [float(magnitude_db(np.abs(np.diagonal(s_mat)).max()))
-                for _, s_mat in results]
+    gains_db = [float(magnitude_db(np.abs(np.diagonal(net.s)).max()))
+                for _, net in results]
     metrics = {
         "nominal_spacing_hz": nominal,
         "spacings_hz": [float(s) for s in spacings],

@@ -30,7 +30,7 @@ from typing import Optional
 import yaml
 
 from . import calibration as cal
-from .errors import ConfigError
+from .errors import ConfigError, GainBelowUnityError
 from .modesys import MirrorSpec, ModeSpec, ModeSystem, PumpTone
 
 TWO_PI = 2.0 * math.pi
@@ -43,8 +43,6 @@ SCHEMA = {
     "pipeline": (str, REQUIRED, PIPELINES),
     "output_dir": (str, REQUIRED, None),
     "seed": (int, None, 0),
-    # accepted so that existing configs load; every pipeline runs serially
-    "workers": (int, None, 1),
     "system": (dict, REQUIRED, {
         "mirror": (dict, REQUIRED, {
             "freq_lc_hz": (float, REQUIRED, POSITIVE),
@@ -277,23 +275,28 @@ def _amplifier(amp, raw):
             _fail("amplifier", f"calibration_json replaces inline values; "
                                f"remove {extra}")
         try:
-            return cal.CalibrationStore.from_json(path)
+            store = cal.CalibrationStore.from_json(path)
         except (OSError, ValueError, TypeError, KeyError) as exc:
             _fail("amplifier.calibration_json",
                   f"cannot load calibration from {path!r}: {exc}")
-    if (amp["gain_db"] is None) == (amp["gain_linear"] is None):
-        _fail("amplifier", "give exactly one of gain_db or gain_linear")
-    gain = amp["gain_linear"] if amp["gain_db"] is None else 10.0 ** (amp["gain_db"] / 10.0)
-    if gain < 1.0:
-        _fail("amplifier", f"power gain must be >= 1, got {gain!r}")
-    _require(amp, "amplifier", "added_photons")
-    return cal.CalibrationStore(
-        gain=gain,
-        added_photons=amp["added_photons"],
-        sigma_gain=amp["sigma_gain_rel"] * gain,
-        sigma_noise=amp["sigma_noise_photons"],
-        cov_gain_noise=amp["cov_gain_noise"],
-    )
+    else:
+        if (amp["gain_db"] is None) == (amp["gain_linear"] is None):
+            _fail("amplifier", "give exactly one of gain_db or gain_linear")
+        gain = (amp["gain_linear"] if amp["gain_db"] is None
+                else 10.0 ** (amp["gain_db"] / 10.0))
+        _require(amp, "amplifier", "added_photons")
+        store = cal.CalibrationStore(
+            gain=gain,
+            added_photons=amp["added_photons"],
+            sigma_gain=amp["sigma_gain_rel"] * gain,
+            sigma_noise=amp["sigma_noise_photons"],
+            cov_gain_noise=amp["cov_gain_noise"],
+        )
+    try:  # the amplifier model checks gain >= 1 and a PSD fit covariance
+        store.amplifier(1)
+    except (ValueError, GainBelowUnityError) as exc:
+        _fail("amplifier.calibration_json" if path else "amplifier", str(exc))
+    return store
 
 
 def validate_config(doc, config_path="<config>", digest=""):

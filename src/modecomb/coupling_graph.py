@@ -7,8 +7,11 @@ frequency domain read -i M b_vec = K b_in with
     M = [[A, B], [-conj(B), -conj(A)]],
 
 A diagonal with A_jj = Delta_j = Omega_j - w_j + shift_j + i gamma_tot_j / 2
-and B symmetric with B_jk = -eps_jk on matched pairs. Mode positions (not
-ModeSpec.index labels) index all matrices here.
+and B symmetric with B_jk = -eps_jk on matched pairs; omega_j - shift_j is
+the dressed resonance. Every function takes the modes as a sequence of
+ModeSpec, and mode positions (not ModeSpec.index labels) index all matrices
+here. ``scattering.network`` turns modes and couplings into the scattering
+matrices through ``build_coupling_matrix``.
 """
 
 import csv
@@ -20,13 +23,6 @@ from . import modesys
 from .errors import DimensionMismatchError
 
 STRUCTURE_TOL = 1e-12
-
-
-def _mode_list(modes):
-    """Accept either a ModeSystem or a plain sequence of ModeSpec."""
-    if isinstance(modes, modesys.ModeSystem):
-        return modes.modes
-    return tuple(modes)
 
 
 @dataclass(frozen=True)
@@ -45,7 +41,7 @@ class FourWaveMatch:
 
 def default_tolerance(modes):
     """Half the smallest total linewidth, the resolvable-match scale."""
-    return min(m.gamma_tot for m in _mode_list(modes)) / 2.0
+    return min(m.gamma_tot for m in modes) / 2.0
 
 
 def match_four_wave(modes, pumps, tolerance=None):
@@ -54,7 +50,6 @@ def match_four_wave(modes, pumps, tolerance=None):
     Returns matches sorted by (pump_index, mode_j, mode_k). Widening the
     tolerance can only add matches, never remove one.
     """
-    modes = _mode_list(modes)
     if tolerance is None:
         tolerance = default_tolerance(modes)
     if tolerance < 0:
@@ -75,7 +70,6 @@ def pair_couplings(modes, pumps, mirror, matches):
 
     Multiple pumps matching the same pair add coherently.
     """
-    modes = _mode_list(modes)
     g_tilde, _ = modesys.effective_couplings(mirror, modes)
     couplings = {}
     for match in matches:
@@ -101,6 +95,11 @@ def mode_frequency_shifts(n_modes, couplings):
         if k != j:
             shifts[k] += 2.0 * abs(eps)
     return shifts
+
+
+def dressed_frequencies(modes, couplings):
+    """Resonances shifted by the pumps: omega_j minus its frequency shift."""
+    return np.array([m.omega for m in modes]) - mode_frequency_shifts(len(modes), couplings)
 
 
 @dataclass
@@ -160,53 +159,25 @@ class CouplingMatrix:
                 writer.writerow(row)
 
 
-def build_coupling_matrix(
-    modes,
-    pumps=None,
-    mirror=None,
-    probe_omegas=None,
-    matches=None,
-    couplings=None,
-    tolerance=None,
-):
+def build_coupling_matrix(modes, couplings, probe_omegas=None):
     """Assemble the coupling matrix for a probed mode set.
 
     Parameters
     ----------
     modes : sequence of ModeSpec
-    pumps : sequence of PumpTone, optional
-        Needed unless ``couplings`` is given directly.
-    mirror : MirrorSpec, optional
-        Needed to derive couplings from pump fluxes.
+    couplings : dict
+        (j, k) -> complex eps_jk; keys must be canonical (j <= k).
     probe_omegas : array-like, optional
         Absolute measurement frequencies Omega_j (rad/s), shape (N,) or
         (..., N). Leading axes stack probe points: the matrix gets the same
         leading axes and every point shares the couplings. ``None`` means
         each mode is probed on its shifted resonance, so Delta_j reduces to
         i gamma_tot_j / 2 exactly.
-    matches : list of FourWaveMatch, optional
-        Recomputed from (modes, pumps) when omitted.
-    couplings : dict, optional
-        (j, k) -> complex eps_jk, overriding the microscopic chain. Keys
-        must be canonical (j <= k).
     """
-    if isinstance(modes, modesys.ModeSystem):
-        if mirror is None:
-            mirror = modes.mirror
-        modes = modes.modes
     n = len(modes)
-    if couplings is None:
-        if pumps is None or mirror is None:
-            raise DimensionMismatchError(
-                "either explicit couplings or (pumps, mirror) must be provided"
-            )
-        if matches is None:
-            matches = match_four_wave(modes, pumps, tolerance)
-        couplings = pair_couplings(modes, pumps, mirror, matches)
-    else:
-        for j, k in couplings:
-            if not (0 <= j <= k < n):
-                raise DimensionMismatchError(f"coupling key ({j}, {k}) not canonical for {n} modes")
+    for j, k in couplings:
+        if not (0 <= j <= k < n):
+            raise DimensionMismatchError(f"coupling key ({j}, {k}) not canonical for {n} modes")
 
     shifts = mode_frequency_shifts(n, couplings)
     gamma_tot = np.array([m.gamma_tot for m in modes])
@@ -247,11 +218,7 @@ def assign_probe_frequencies(modes, matches, couplings=None, anchor=0):
     residuals : dict
         match position -> frame residual for edges not in the BFS tree.
     """
-    modes = _mode_list(modes)
-    n = len(modes)
-    shifts = mode_frequency_shifts(n, couplings) if couplings else np.zeros(n)
-    dressed = np.array([m.omega for m in modes]) - shifts
-    omegas = dressed.copy()
+    omegas = dressed_frequencies(modes, couplings or {})
     # pump frequency per edge; degenerate matches pin the mode on the pump
     assigned = {anchor}
     edges = [(i, mt) for i, mt in enumerate(matches)]

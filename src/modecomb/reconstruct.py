@@ -25,8 +25,7 @@ bound and Z = X^-1, the dual point of the central path, as a lower bound,
 and a second one prices the line search of the step.
 The bracket shrinks geometrically with the barrier weight, also on the
 near-tangent instances whose optimal Z has rank 2, and the search stops
-once it is t_width wide.  Plain alternating projections (box clip <->
-Hermitian eigenvalue clip) are kept for repairing small eigenvalue dips.
+once it is t_width wide.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bases import min_physicality_eigenvalue, symplectic_form
+from .bases import symplectic_form
 from .errors import DimensionMismatchError, NonConvergenceWarning
 from .gaussian_state import CovarianceMatrix
 
@@ -45,7 +44,6 @@ SIGMA_FLOOR = 1e-12
 T_WIDTH = 1e-6
 FEAS_TOL = 1e-9
 MAX_ITER = 120000
-PROJECT_SWEEPS = 2000
 START_LIFT = 1.1
 TAU_GROWTH = 10.0
 CENTERED = 1.0
@@ -70,34 +68,6 @@ class ReconstructionResult:
     converged: bool
     sigma_floored: bool = False
     flags: list = field(default_factory=list)
-
-
-def _cone_step(v, omega):
-    """One Hermitian-space sweep towards {V : V + i Omega >= 0}."""
-    h = v.astype(complex) + 1j * omega
-    w, u = np.linalg.eigh(h)
-    hp = (u * np.clip(w, 0.0, None)) @ u.conj().T
-    out = hp.real
-    return 0.5 * (out + out.T)
-
-
-def project_physical(v, tol=FEAS_TOL, max_iter=PROJECT_SWEEPS):
-    """A physical covariance near ``v`` by alternating projections.
-
-    Converges to a point of the physicality cone (not necessarily the
-    nearest); a cheap repair for small eigenvalue dips.
-    """
-    arr = np.asarray(v.v if isinstance(v, CovarianceMatrix) else v, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2:
-        raise DimensionMismatchError("covariance must be square with even size")
-    n = arr.shape[0] // 2
-    omega = symplectic_form(n)
-    x = 0.5 * (arr + arr.T)
-    for _ in range(max_iter):
-        x = _cone_step(x, omega)
-        if min_physicality_eigenvalue(x) >= -tol:
-            break
-    return CovarianceMatrix(n, x)
 
 
 def _dual_bound(z, h0, sigma):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import quadrature_transform
+from .coupling_graph import build_coupling_matrix
 from .errors import (
     DimensionMismatchError,
     SingularMatrixError,
@@ -107,6 +108,19 @@ def scattering_matrices(cm, gamma_ext, gamma_int, allow_unstable=False):
     s = 1j * (rows * k_ext) - np.eye(2 * n)
     s_loss = 1j * (rows * k_int)
     return ScatteringPair(s, s_loss, n, "ladder")
+
+
+def network(modes, couplings, probe_omegas=None, allow_unstable=False):
+    """Ladder-basis scattering pair of a coupled mode set.
+
+    Builds the coupling matrix of ``modes`` (sequence of ModeSpec) with the
+    (j, k) -> eps_jk ``couplings`` and solves it with the modes' own loss
+    rates. ``probe_omegas`` of shape (K, N) gives a stack of K networks;
+    ``None`` probes every mode on its shifted resonance.
+    """
+    cm = build_coupling_matrix(modes, couplings, probe_omegas)
+    return scattering_matrices(cm, [m.gamma_ext for m in modes],
+                               [m.gamma_int for m in modes], allow_unstable)
 
 
 def pseudo_unitarity_residual(pair):

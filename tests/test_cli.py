@@ -214,18 +214,12 @@ def test_twomode_drift_phase_run(tmp_path):
     assert "histograms_d01.csv" in report.files
 
 
-def test_workers_key_is_checked_and_has_no_effect(tmp_path):
-    assert main(["validate", str(write_config(
-        tmp_path, SMALL_TWOMODE + "workers: 0\n", name="zero.cfg"))]) == 2
-    digests = []
-    for i, workers in enumerate(("", "workers: 3\n")):
-        out = tmp_path / f"out{i}"
-        report = run_scenario(write_config(tmp_path, SMALL_TWOMODE + workers,
-                                           name=f"w{i}.cfg", out=str(out)))
-        # report.json differs only by the config digest
-        digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                        for name in report.files if name != "report.json"})
-    assert digests[0] == digests[1]
+def test_workers_key_is_refused(tmp_path, capsys):
+    # every pipeline runs serially, so the key is unknown
+    path = write_config(tmp_path, SMALL_TWOMODE + "workers: 2\n")
+    assert main(["run", str(path)]) == 2
+    assert "config field 'workers': unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_calibration_pipeline_run(tmp_path):
@@ -315,6 +309,15 @@ def test_zero_scattering_elements_read_minus_inf_in_both_tables(tmp_path, monkey
     for key, row in matched.items():
         assert float(at_nominal[key]["mag_db"]) == pytest.approx(
             ref_db + float(row["mag_db"]), rel=1e-12), key
+
+
+def test_zero_reference_element_exits_two_before_any_artifact(tmp_path, capsys):
+    # no pump couples b0 to b1, so S[0, 1] is exactly zero
+    path = write_config(tmp_path, SMALL_SCATTERING + "  ref_in: 1\n")
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path)]) == 2
+    assert "'scattering.ref_out', 'scattering.ref_in'" in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_report_digest_matches_config(tmp_path):

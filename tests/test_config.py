@@ -2,6 +2,7 @@
 
 import pytest
 
+from modecomb import CalibrationStore
 from modecomb.cli import main
 from test_cli import (
     SMALL_CALIBRATION,
@@ -64,6 +65,10 @@ REJECTIONS = {
     "both-gains": (TM, TM_AMP, TM_AMP + "  gain_linear: 100.0\n", "amplifier"),
     "no-gain": (TM, TM_AMP, "amplifier:\n", "amplifier"),
     "gain-below-unity": (TM, "gain_db: 40.0", "gain_db: -3.0", "amplifier"),
+    # sigma_gain * sigma_noise = 100 * 0.02 bounds the fit covariance
+    "cov-gain-noise-beyond-sigmas": (TM, "sigma_noise_photons: 0.02",
+                                     "sigma_noise_photons: 0.02\n  cov_gain_noise: 50.0",
+                                     "amplifier"),
     "calibration-json-with-inline-values": (
         TM, TM_AMP, "amplifier:\n  calibration_json: cal.json\n  gain_db: 40.0\n",
         "amplifier"),
@@ -135,6 +140,19 @@ def test_one_column_data_exits_two(tmp_path, capsys, subsection):
                       f"    {DATA_SECTIONS[subsection]}\n    data_csv: {data}\n")
     assert main(["run", str(write_config(tmp_path, cfg))]) == 2
     assert f"'calibration.{subsection}.data_csv'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_calibration_file_with_a_non_psd_covariance_exits_two(tmp_path, capsys, command):
+    store = tmp_path / "cal.json"
+    CalibrationStore(gain=1e4, added_photons=0.15, sigma_gain=100.0,
+                     sigma_noise=0.02, cov_gain_noise=50.0).to_json(store)
+    path = write_config(tmp_path, TM.replace(
+        TM_AMP_BLOCK, f"amplifier:\n  calibration_json: {store}\n"))
+    assert main([command, str(path)]) == 2
+    assert ("config field 'amplifier.calibration_json': cov_gain_noise exceeds"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_small_configs_validate(tmp_path):

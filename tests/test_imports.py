@@ -92,10 +92,8 @@ def test_calibration_run_and_temperature_sweep_load_no_scipy(tmp_path):
 
 
 def test_multimode_run_loads_no_scipy(tmp_path):
-    # the reconstruction brackets each interval by duality, without an LP;
-    # the workers key is still accepted and runs the intervals serially
-    config = write_config(tmp_path, SMALL_MULTIMODE.replace(
-        "multimode: {}", "workers: 2\nmultimode: {}"))
+    # the reconstruction brackets each interval by duality, without an LP
+    config = write_config(tmp_path, SMALL_MULTIMODE)
     assert loaded_scipy_modules(config) == []
     with open(tmp_path / "out" / "report.json") as fh:
         assert json.load(fh)["metrics"]["intervals_converged"] == 5

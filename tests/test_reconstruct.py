@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from modecomb import (
     CovarianceMatrix,
     NonConvergenceWarning,
-    project_physical,
     reconstruct_physical,
     two_mode_squeezed_covariance,
 )
@@ -77,14 +76,6 @@ def test_zero_sigma_floor_warns():
     with pytest.warns(NonConvergenceWarning):
         res = reconstruct_physical(np.diag([0.5, 0.5]), sigma=0.0)
     assert res.sigma_floored
-
-
-def test_project_physical():
-    vm = np.diag([0.2, 0.2, 0.4, 3.0])
-    proj = project_physical(vm)
-    assert proj.min_physicality_eigenvalue() >= -1e-9
-    fixed = project_physical(proj.v)
-    assert np.max(np.abs(fixed.v - proj.v)) < 1e-9
 
 
 def test_against_sdp_oracle():

@@ -13,6 +13,8 @@ from modecomb import (
     SingularMatrixError,
     UnstablePumpError,
     build_coupling_matrix,
+    dressed_frequencies,
+    network,
     output_covariance,
     pseudo_unitarity_residual,
     scattering_matrices,
@@ -201,6 +203,24 @@ def threshold_pair_stack(deltas):
     probes = omegas - 2.0 * eps + np.asarray(deltas)[:, None] * np.array([1.0, -1.0])
     cm = build_coupling_matrix(modes, probe_omegas=probes, couplings={(0, 1): eps})
     return cm, np.full(2, gamma), np.zeros(2)
+
+
+def test_network_is_the_coupling_matrix_solve():
+    modes = [ModeSpec.from_hz(j, f, 30e3, 10e3)
+             for j, f in enumerate((3.8245e9, 3.8375e9, 3.8506e9))]
+    couplings = {(0, 1): TWO_PI * (10e3 + 2e3j), (1, 2): TWO_PI * 8e3}
+    sweep = TWO_PI * np.linspace(-50e3, 50e3, 7)[:, None] * np.array([1.0, -1.0, 1.0])
+    probes = dressed_frequencies(modes, couplings) + sweep
+    pair = network(modes, couplings, probes)
+    ref = scattering_matrices(build_coupling_matrix(modes, couplings, probes),
+                              [m.gamma_ext for m in modes],
+                              [m.gamma_int for m in modes])
+    assert pair.s.shape == (7, 6, 6) and pair.basis == "ladder"
+    assert np.array_equal(pair.s, ref.s)
+    assert np.array_equal(pair.s_loss, ref.s_loss)
+    with pytest.raises(UnstablePumpError):
+        network(modes, {(0, 1): TWO_PI * 30e3})
+    assert network(modes, {(0, 1): TWO_PI * 30e3}, allow_unstable=True).s.shape == (6, 6)
 
 
 def test_singular_point_inside_stack_raises():
