@@ -82,6 +82,15 @@ def mode_rotation(angles):
     return r
 
 
+def rowdot(x, y):
+    """Dot product of each row of ``x`` with the same row of ``y``.
+
+    Each row is one BLAS dot, so it rounds exactly as the 1-D ``x @ y``
+    does; ``np.einsum`` and ``np.sum(x * y, axis=-1)`` add in other orders.
+    """
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
 @lru_cache(maxsize=None)
 def _shared_symplectic_form(n_modes):
     """Read-only ``symplectic_form(n_modes)``, built once per mode count."""

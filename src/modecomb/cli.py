@@ -60,9 +60,9 @@ from .coupling_graph import (
     pair_couplings,
 )
 from .entanglement import (
-    all_bipartition_reports,
     all_bipartitions,
     entanglement_sigma,
+    interval_reports,
     ppt_min_eigenvalue,
     propagate_errors,
     significance,
@@ -82,7 +82,7 @@ from .gaussian_state import (
     thermal_covariance,
 )
 from .modesys import PumpTone
-from .reconstruct import reconstruct_physical
+from .reconstruct import reconstruct_intervals
 from .scattering import export_db_table, magnitude_db, network
 
 # ---------------------------------------------------------------------------
@@ -323,48 +323,41 @@ def _run_multimode(scfg, out_dir):
     amp = scfg.amplifier.amplifier(n_sub)
     v_model = amplify(v_out, amp)
 
-    def one_interval(i):
+    def draw(i):
+        """Seeded sample covariance of interval i, drift phase applied."""
         v_hat = sample_covariance(v_model, scfg.n_samples, [scfg.seed, 0, i])
         if scfg.drift_phase:
             phi = float(np.random.default_rng(
                 [scfg.seed, 1, i]).uniform(0.0, TWO_PI))
             v_hat = v_hat.rotate(np.full(n_sub, phi))
-        sigma = propagate_errors(v_hat, amp,
-                                 sem=covariance_sem(v_hat, scfg.n_samples))
-        # interval objectives only feed averages, so a loose bracket width
-        # keeps the per-interval cost low
-        rec = reconstruct_physical(deamplify(v_hat, amp), sigma=sigma,
-                                   t_width=1e-3, max_iter=30000)
-        reports = all_bipartition_reports(rec.v)
-        return {
-            "values": {rep.bipartition.label: rep.value for rep in reports},
-            "sigmas": {rep.bipartition.label:
-                       entanglement_sigma(sigma, rep.h, rep.g, rep.angles)
-                       for rep in reports},
-            "objective": rec.objective,
-            "t_lower": rec.t_lower,
-            "converged": rec.converged,
-            "iq_residual": reports[0].iq_residual,
-            "flags": sorted({f for rep in reports for f in rep.flags}
-                            | set(rec.flags)),
-            "v_hat": v_hat.v,
-            "v_rec": rec.v.v,
-        }
+        return v_hat.v
 
-    rows = [one_interval(i) for i in range(scfg.interval_count)]
+    # the seeded draws define the intervals; from here on all of them are
+    # one (K, 2N, 2N) stack
+    v_hat = CovarianceMatrix(
+        n_sub, np.array([draw(i) for i in range(scfg.interval_count)]))
+    sigma = propagate_errors(v_hat, amp,
+                             sem=covariance_sem(v_hat, scfg.n_samples))
+    # interval objectives only feed averages, so a loose bracket width
+    # keeps the per-interval cost low
+    recs = reconstruct_intervals(deamplify(v_hat, amp), sigma=sigma,
+                                 t_width=1e-3, max_iter=30000)
+    v_rec = CovarianceMatrix(n_sub, np.array([rec.v.v for rec in recs]))
+    reports = interval_reports(v_rec)
+    angles = np.array([reps[0].angles for reps in reports])
 
-    v_rec_mean = CovarianceMatrix(
-        n_sub, np.mean([row["v_rec"] for row in rows], axis=0))
-    v_hat_mean = CovarianceMatrix(
-        n_sub, np.mean([row["v_hat"] for row in rows], axis=0))
+    v_rec_mean = CovarianceMatrix(n_sub, np.mean(v_rec.v, axis=0))
+    v_hat_mean = CovarianceMatrix(n_sub, np.mean(v_hat.v, axis=0))
     ppt_lambda = {bp.label: ppt_min_eigenvalue(v_rec_mean, bp)
                   for bp in all_bipartitions(n_sub)}
 
     table = {"n_intervals": scfg.interval_count, "bipartitions": []}
     sig_w = {}
-    for label in ppt_lambda:
-        values = [row["values"][label] for row in rows]
-        sigmas = [row["sigmas"][label] for row in rows]
+    for b, label in enumerate(ppt_lambda):
+        values = [reps[b].value for reps in reports]
+        sigmas = entanglement_sigma(
+            sigma, np.array([reps[b].h for reps in reports]),
+            np.array([reps[b].g for reps in reports]), angles).tolist()
         sig_w[label] = significance(values, sigmas)
         table["bipartitions"].append({
             "label": label,
@@ -375,11 +368,14 @@ def _run_multimode(scfg, out_dir):
             "sigmas": sigmas,
         })
 
-    table["intervals"] = [{"interval": i, "iq_residual": row["iq_residual"],
-                           "reconstruction_objective": row["objective"],
-                           "reconstruction_t_lower": row["t_lower"],
-                           "flags": row["flags"]} for i, row in enumerate(rows)]
-    flag_counts = Counter(flag for row in rows for flag in row["flags"])
+    flags = [sorted({f for rep in reps for f in rep.flags} | set(rec.flags))
+             for rec, reps in zip(recs, reports)]
+    table["intervals"] = [{"interval": i, "iq_residual": reps[0].iq_residual,
+                           "reconstruction_objective": rec.objective,
+                           "reconstruction_t_lower": rec.t_lower,
+                           "flags": flags[i]}
+                          for i, (rec, reps) in enumerate(zip(recs, reports))]
+    flag_counts = Counter(flag for fl in flags for flag in fl)
 
     files = []
     _write_json(os.path.join(out_dir, "entanglement_table.json"), table)
@@ -391,7 +387,7 @@ def _run_multimode(scfg, out_dir):
         v.to_csv(os.path.join(out_dir, name))
         files.append(name)
 
-    objectives = [row["objective"] for row in rows]
+    objectives = [rec.objective for rec in recs]
     metrics = {
         "mode_indices": list(idx),
         "weighted_significance": sig_w,
@@ -399,10 +395,10 @@ def _run_multimode(scfg, out_dir):
         "ppt_lambda_mean_state": ppt_lambda,
         "reconstruction_objective_mean": float(np.mean(objectives)),
         "reconstruction_objective_max": float(np.max(objectives)),
-        "reconstruction_gap_max": max(row["objective"] - row["t_lower"]
-                                      for row in rows),
-        "intervals_converged": int(sum(row["converged"] for row in rows)),
-        "intervals_flagged": sum(bool(row["flags"]) for row in rows),
+        "reconstruction_gap_max": max(rec.objective - rec.t_lower
+                                      for rec in recs),
+        "intervals_converged": int(sum(rec.converged for rec in recs)),
+        "intervals_flagged": sum(bool(fl) for fl in flags),
         "flag_counts": dict(flag_counts),
         "interval_count": scfg.interval_count,
         "n_samples": scfg.n_samples,
@@ -431,7 +427,9 @@ def _load_data_csv(subsection, path):
 def _run_calibration(scfg, out_dir):
     sec = scfg.section
     modes = scfg.system.modes
-    files = []
+    # every subsection is loaded and fitted before the first file is written,
+    # so a bad input leaves no artifact behind
+    tables = []
     metrics = {}
     planck_fit = None
     corr_fit = None
@@ -465,9 +463,8 @@ def _run_calibration(scfg, out_dir):
         model = cal.planck_power(temps, planck_fit.gain,
                                  planck_fit.added_photons, freq,
                                  bandwidth=bandwidth)
-        files.append(_write_csv(out_dir, "planck_fit.csv",
-                                ["temp_k", "power", "power_model"],
-                                zip(temps, powers, model)))
+        tables.append(("planck_fit.csv", ["temp_k", "power", "power_model"],
+                       zip(temps, powers, model)))
         metrics["planck"] = {
             "gain": planck_fit.gain,
             "gain_db": 10.0 * math.log10(planck_fit.gain),
@@ -498,9 +495,8 @@ def _run_calibration(scfg, out_dir):
             deltas, c_meas, pair_modes, scfg.temperature, p0=(gain, eps))
         model = cal.c_lineshape(deltas, corr_fit.gain, corr_fit.eps,
                                 pair_modes, scfg.temperature)
-        files.append(_write_csv(out_dir, "correlation_fit.csv",
-                                ["detuning_hz", "c", "c_model"],
-                                zip(deltas / TWO_PI, c_meas, model)))
+        tables.append(("correlation_fit.csv", ["detuning_hz", "c", "c_model"],
+                       zip(deltas / TWO_PI, c_meas, model)))
         metrics["correlation"] = {
             "gain": corr_fit.gain,
             "gain_db": 10.0 * math.log10(corr_fit.gain),
@@ -510,6 +506,7 @@ def _run_calibration(scfg, out_dir):
             "residual_rms": float(np.sqrt(np.mean(corr_fit.residuals ** 2))),
         }
 
+    files = [_write_csv(out_dir, *table) for table in tables]
     meta = {"source": "fit"}
     if planck_fit is not None:
         store = cal.CalibrationStore(
@@ -629,8 +626,15 @@ def run_scenario(config_path):
     """
     doc, digest = load_config(config_path)
     scfg = validate_config(doc, config_path=str(config_path), digest=digest)
+    created = not os.path.isdir(scfg.output_dir)
     os.makedirs(scfg.output_dir, exist_ok=True)
-    metrics, files = _RUNNERS[scfg.pipeline](scfg, scfg.output_dir)
+    try:
+        metrics, files = _RUNNERS[scfg.pipeline](scfg, scfg.output_dir)
+    except Exception:
+        # a run that fails leaves behind no empty directory of its own making
+        if created and not os.listdir(scfg.output_dir):
+            os.rmdir(scfg.output_dir)
+        raise
     metrics = _jsonify(metrics)
     _check_finite(metrics)
     report = RunReport(

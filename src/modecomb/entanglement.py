@@ -16,6 +16,11 @@ stacked eigenproblem.  It runs after an optional passive rotation that
 removes I-Q cross correlations from the measured frame.  Its per-mode angles
 come from damped Newton steps with an analytic gradient and Hessian, run
 from all distinct starts at once.
+
+A stack of K covariances, one per measurement interval, is decorrelated and
+tested as one: the Newton steps run on the starts of all K at once and one
+``eigh`` takes all K (1 + B) witness matrices.  The single-matrix functions
+are stacks of one, and a stack gives bit for bit what they give one by one.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bases import min_physicality_eigenvalue, mode_rotation
+from .bases import min_physicality_eigenvalue, mode_rotation, rowdot
 from .errors import (
     DimensionMismatchError,
     MissingFitCovarianceError,
@@ -111,6 +116,11 @@ def ppt_min_eigenvalue(v: CovarianceMatrix, transpose_modes) -> float:
     return min_physicality_eigenvalue(lam[:, None] * v.v * lam[None, :])
 
 
+def _one(v: CovarianceMatrix):
+    """A single covariance as a stack of one."""
+    return CovarianceMatrix(v.n_modes, v.v[None])
+
+
 # ---------------------------------------------------------------------------
 # Passive decorrelation of the I-Q sector
 
@@ -118,10 +128,22 @@ def ppt_min_eigenvalue(v: CovarianceMatrix, transpose_modes) -> float:
 def _iq_objective(v, angles):
     """I-Q cross-block energy f = sum(X^2) and the rotated covariance W.
 
-    ``angles`` of shape (..., N) give f of shape (...) and a stack of W.
+    ``angles`` of shape (..., N) give f of shape (...) and a stack of
+    W = R V R^T, R = ``mode_rotation(angles)``.  R is applied by its 2 x 2
+    blocks, to V's row pairs and then to the column pairs of R V, so no
+    stack of R is formed; the products round as the full ones do.
     """
-    r = mode_rotation(angles)
-    w = r @ v @ np.swapaxes(r, -1, -2)
+    angles = np.asarray(angles, dtype=float)
+    n = angles.shape[-1]
+    c, s = np.cos(angles), np.sin(angles)
+    rot = np.stack([c, s, -s, c], axis=-1).reshape(angles.shape + (2, 2))
+    shape = np.broadcast_shapes(v.shape[:-2], angles.shape[:-1]) + (2 * n, 2 * n)
+    # rebinding v frees a gathered stack before the second product
+    v = (rot @ v.reshape(v.shape[:-2] + (n, 2, 2 * n))).reshape(shape)
+    w = np.empty(shape)
+    np.matmul(np.swapaxes(v.reshape(shape[:-1] + (n, 2)), -2, -3),
+              np.swapaxes(rot, -1, -2),
+              out=np.swapaxes(w.reshape(shape[:-1] + (n, 2)), -2, -3))
     return np.sum(w[..., 0::2, 1::2] ** 2, axis=(-2, -1)), w
 
 
@@ -154,10 +176,13 @@ def _iq_derivatives(w):
 
 
 def own_iq_angles(v: CovarianceMatrix) -> np.ndarray:
-    """Per-mode angles zeroing each mode's own <IQ> covariance."""
-    a = v.v[0::2, 0::2].diagonal()
-    b = v.v[1::2, 1::2].diagonal()
-    c = v.v[0::2, 1::2].diagonal()
+    """Per-mode angles zeroing each mode's own <IQ> covariance.
+
+    A stacked ``v`` gives one row of angles per matrix.
+    """
+    a = np.diagonal(v.v[..., 0::2, 0::2], axis1=-2, axis2=-1)
+    b = np.diagonal(v.v[..., 1::2, 1::2], axis1=-2, axis2=-1)
+    c = np.diagonal(v.v[..., 0::2, 1::2], axis1=-2, axis2=-1)
     return 0.5 * np.arctan2(2.0 * c, a - b)
 
 
@@ -178,7 +203,8 @@ _NEWTON_MAX_STEP = 0.25 * np.pi
 
 
 def _iq_starts(v: CovarianceMatrix) -> np.ndarray:
-    """Starting angles, one row each: zero and shifts of ``own_iq_angles``."""
+    """Starting angles of a (K, 2N, 2N) stack, (K, B, N): per matrix, zero
+    and shifts of its ``own_iq_angles``."""
     n = v.n_modes
     base = own_iq_angles(v)
     if n <= 6:
@@ -188,7 +214,89 @@ def _iq_starts(v: CovarianceMatrix) -> np.ndarray:
         shifts = 0.5 * np.pi * bits
     else:
         shifts = np.arange(8)[:, None] * (np.pi / 8.0)
-    return np.vstack([np.zeros(n), base + shifts])
+    return np.concatenate(
+        [np.zeros((len(base), 1, n)), base[:, None, :] + shifts], axis=1)
+
+
+def _damped_step(hess, grad, damp, scale):
+    """Levenberg-damped Newton step of each start, at most _NEWTON_MAX_STEP
+    per angle."""
+    e, u = np.linalg.eigh(hess)
+    unit = np.maximum(np.abs(e).max(axis=-1), np.finfo(float).eps * scale)
+    shift = np.maximum(0.0, -e[:, 0]) + damp * unit
+    coef = np.einsum("bji,bj->bi", u, grad) / (e + shift[:, None])
+    step = -np.einsum("bij,bj->bi", u, coef)
+    longest = np.abs(step).max(axis=-1, keepdims=True)
+    step *= _NEWTON_MAX_STEP / np.maximum(longest, _NEWTON_MAX_STEP)
+    return step
+
+
+def _iq_state(v, rows, angles):
+    """f, its gradient and Hessian, and whether tr(QQ) > tr(II), per start.
+
+    Start i rotates ``v[rows[i]]`` by ``angles[i]``.  The gathered and the
+    rotated stacks are dropped as soon as they are used, so that at most
+    three start-sized stacks are alive at a time.
+    """
+    f, w = _iq_objective(v[rows], angles)
+    grad, hess = _iq_derivatives(w)
+    heavy = (np.trace(w[..., 1::2, 1::2], axis1=-2, axis2=-1)
+             > np.trace(w[..., 0::2, 0::2], axis1=-2, axis2=-1))
+    return f, grad, hess, heavy
+
+
+def _decorrelate_stack(v: CovarianceMatrix):
+    """``decorrelate_iq`` of each matrix of a (K, 2N, 2N) stack.
+
+    The Newton loop runs on all K B starts at once, each against its own
+    matrix; returns the rotated stack W, the (K, N) angles and the K
+    residuals.  Of each start's rotated matrix only f, its derivatives and
+    the tr(QQ) > tr(II) test are kept.
+    """
+    k, n = v.v.shape[0], v.n_modes
+    theta = _iq_starts(v)
+    starts = theta.shape[1]
+    theta = theta.reshape(k * starts, n)
+    owner = np.repeat(np.arange(k), starts)
+    f, grad, hess, heavy = _iq_state(v.v, owner, theta)
+    gnorm = np.linalg.norm(grad, axis=-1)
+    scale = np.sum(v.v**2, axis=(-2, -1))[owner]
+    damp = np.full(theta.shape[0], _NEWTON_DAMP_START)
+    active = gnorm > _NEWTON_GTOL * scale
+    for _ in range(_NEWTON_MAX_ITER):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        trial = theta[idx] + _damped_step(hess[idx], grad[idx], damp[idx], scale[idx])
+        f_trial, g_trial, h_trial, heavy_trial = _iq_state(v.v, owner[idx], trial)
+        gn_trial = np.linalg.norm(g_trial, axis=-1)
+        # near the optimum f stops resolving Newton's decrease long before
+        # the angles converge; there a step that keeps f within its rounding
+        # is judged by the gradient it leaves
+        level = f[idx] + _NEWTON_F_ROUNDING * np.sqrt(f[idx] * scale[idx])
+        better = (f_trial < f[idx]) | (
+            (f_trial <= level) & (gn_trial <= 0.5 * gnorm[idx])
+        )
+        ok, bad = idx[better], idx[~better]
+        theta[ok], f[ok], heavy[ok] = trial[better], f_trial[better], heavy_trial[better]
+        grad[ok], hess[ok], gnorm[ok] = g_trial[better], h_trial[better], gn_trial[better]
+        damp[ok] = np.maximum(damp[ok] / 10.0, _NEWTON_DAMP_MIN)
+        damp[bad] *= 100.0
+        active[ok[gnorm[ok] <= _NEWTON_GTOL * scale[ok]]] = False
+        active[bad[damp[bad] > _NEWTON_DAMP_MAX]] = False
+        del g_trial, h_trial  # not alive while the next trial is evaluated
+
+    best = np.arange(k) * starts + np.argmin(f.reshape(k, starts), axis=1)
+    angles = theta[best]
+    # turning every mode by pi/2 swaps the II and QQ blocks and maps X to
+    # -X^T, so f ties exactly; keep the twin whose I quadratures carry more
+    # variance, as own_iq_angles does per mode
+    angles[heavy[best]] += 0.5 * np.pi
+    angles = np.mod(angles + 0.5 * np.pi, np.pi) - 0.5 * np.pi
+    _, w = _iq_objective(v.v, angles)
+    ii, qq, iq = (w[:, i::2, j::2].reshape(k, -1) for i, j in ((0, 0), (1, 1), (0, 1)))
+    in_block = np.maximum(np.maximum(np.sqrt(rowdot(ii, ii)), np.sqrt(rowdot(qq, qq))), 1e-300)
+    return w, angles, np.sqrt(rowdot(iq, iq)) / in_block
 
 
 def decorrelate_iq(v: CovarianceMatrix):
@@ -210,58 +318,8 @@ def decorrelate_iq(v: CovarianceMatrix):
     Returns (rotated CovarianceMatrix, angles, residual) where residual is
     ||IQ block|| / max(||II block||, ||QQ block||) after rotation.
     """
-    n = v.n_modes
-    theta = _iq_starts(v)
-    f, w = _iq_objective(v.v, theta)
-    grad, hess = _iq_derivatives(w)
-    gnorm = np.linalg.norm(grad, axis=-1)
-    scale = float(np.sum(v.v**2))
-    damp = np.full(theta.shape[0], _NEWTON_DAMP_START)
-    active = gnorm > _NEWTON_GTOL * scale
-    for _ in range(_NEWTON_MAX_ITER):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        e, u = np.linalg.eigh(hess[idx])
-        unit = np.maximum(np.abs(e).max(axis=-1), np.finfo(float).eps * scale)
-        shift = np.maximum(0.0, -e[:, 0]) + damp[idx] * unit
-        coef = np.einsum("bji,bj->bi", u, grad[idx]) / (e + shift[:, None])
-        step = -np.einsum("bij,bj->bi", u, coef)
-        longest = np.abs(step).max(axis=-1, keepdims=True)
-        step *= _NEWTON_MAX_STEP / np.maximum(longest, _NEWTON_MAX_STEP)
-        trial = theta[idx] + step
-        f_trial, w_trial = _iq_objective(v.v, trial)
-        g_trial, h_trial = _iq_derivatives(w_trial)
-        gn_trial = np.linalg.norm(g_trial, axis=-1)
-        # near the optimum f stops resolving Newton's decrease long before
-        # the angles converge; there a step that keeps f within its rounding
-        # is judged by the gradient it leaves
-        level = f[idx] + _NEWTON_F_ROUNDING * np.sqrt(f[idx] * scale)
-        better = (f_trial < f[idx]) | (
-            (f_trial <= level) & (gn_trial <= 0.5 * gnorm[idx])
-        )
-        ok, bad = idx[better], idx[~better]
-        theta[ok], f[ok], w[ok] = trial[better], f_trial[better], w_trial[better]
-        grad[ok], hess[ok], gnorm[ok] = g_trial[better], h_trial[better], gn_trial[better]
-        damp[ok] = np.maximum(damp[ok] / 10.0, _NEWTON_DAMP_MIN)
-        damp[bad] *= 100.0
-        active[ok[gnorm[ok] <= _NEWTON_GTOL * scale]] = False
-        active[bad[damp[bad] > _NEWTON_DAMP_MAX]] = False
-
-    best = int(np.argmin(f))
-    best_ang = theta[best]
-    # turning every mode by pi/2 swaps the II and QQ blocks and maps X to
-    # -X^T, so f ties exactly; keep the twin whose I quadratures carry more
-    # variance, as own_iq_angles does per mode
-    if np.trace(w[best, 1::2, 1::2]) > np.trace(w[best, 0::2, 0::2]):
-        best_ang = best_ang + 0.5 * np.pi
-    best_ang = np.mod(best_ang + 0.5 * np.pi, np.pi) - 0.5 * np.pi
-    _, w = _iq_objective(v.v, best_ang)
-    in_block = max(
-        np.linalg.norm(w[0::2, 0::2]), np.linalg.norm(w[1::2, 1::2]), 1e-300
-    )
-    residual = float(np.linalg.norm(w[0::2, 1::2]) / in_block)
-    return CovarianceMatrix(n, w), best_ang, residual
+    w, angles, residual = _decorrelate_stack(_one(v))
+    return CovarianceMatrix(v.n_modes, w[0]), angles[0], float(residual[0])
 
 
 # ---------------------------------------------------------------------------
@@ -295,44 +353,52 @@ def svl_value(v: CovarianceMatrix, bipartition: Bipartition, h, g) -> float:
 
 
 def _witness_reports(v: CovarianceMatrix, bipartitions, decorrelate: bool):
-    """Witness reports for ``bipartitions`` from one stacked ``eigh``.
+    """Witness reports of every matrix of a (K, 2N, 2N) stack, one list each.
 
-    Row 0 of the stack is the shared Q(+,+) = [[V_II, -I], [-I, V_QQ]];
-    row b is Q(+,-) of bipartition b, with S = +1 on part A and -1 on part
-    B.  Each bipartition takes the lower of the two smallest eigenvalues,
-    Q(+,+) on a tie (see ``svl_test``).
+    All K (1 + B) matrices are diagonalised in one ``eigh``.  Per matrix,
+    row 0 is the shared Q(+,+) = [[V_II, -I], [-I, V_QQ]] and row b is
+    Q(+,-) of bipartition b, with S = +1 on part A and -1 on part B.  Each
+    bipartition takes the lower of the two smallest eigenvalues, Q(+,+) on
+    a tie (see ``svl_test``).
     """
     n = v.n_modes
-    if any(bp.n_modes != n for bp in bipartitions):
+    if v.v.ndim != 3 or any(bp.n_modes != n for bp in bipartitions):
         raise DimensionMismatchError("bipartition and covariance sizes differ")
+    k = v.v.shape[0]
 
-    angles = residual = None
-    flags = []
+    angles = residual = [None] * k
     if decorrelate:
-        v, angles, residual = decorrelate_iq(v)
-        if residual > IQ_RESIDUAL_LIMIT:
-            flags.append("iq_residual_above_limit")
+        w, angles, residual = _decorrelate_stack(v)
+        v = CovarianceMatrix(n, w)
 
     signs = np.ones((1 + len(bipartitions), n))
     for row, bp in zip(signs[1:], bipartitions):
         row[list(bp.part_b)] = -1.0
-    q = np.zeros((len(signs), 2 * n, 2 * n))
-    q[:, :n, :n] = v.v[0::2, 0::2]
-    q[:, n:, n:] = v.v[1::2, 1::2]
-    k = np.arange(n)
-    q[:, k, n + k] = q[:, n + k, k] = -signs
+    q = np.zeros((k, len(signs), 2 * n, 2 * n))
+    q[:, :, :n, :n] = v.v[:, None, 0::2, 0::2]
+    q[:, :, n:, n:] = v.v[:, None, 1::2, 1::2]
+    d = np.arange(n)
+    q[:, :, d, n + d] = q[:, :, n + d, d] = -signs
     lams, vecs = np.linalg.eigh(q)
 
     reports = []
-    for b, bp in enumerate(bipartitions, start=1):
-        best = b if lams[b, 0] < lams[0, 0] else 0
-        x = np.sqrt(2.0) * vecs[best, :, 0]  # ||h||^2 + ||g||^2 = 2
-        h, g = x[:n], x[n:]
-        value = svl_value(v, bp, h, g)
-        # the evaluator re-derives the overlap signs, so it must agree exactly
-        if abs(value - 2.0 * lams[best, 0]) > 1e-8 * (1.0 + abs(value)):
-            raise OptimizerFailureError("witness evaluator disagrees with eigenvalue optimum")
-        reports.append(EntanglementReport(bp, value, h, g, angles, residual, list(flags)))
+    for i in range(k):
+        vi = CovarianceMatrix(n, v.v[i])
+        flags = []
+        if decorrelate and residual[i] > IQ_RESIDUAL_LIMIT:
+            flags.append("iq_residual_above_limit")
+        res = None if residual[i] is None else float(residual[i])
+        mine = []
+        for b, bp in enumerate(bipartitions, start=1):
+            best = b if lams[i, b, 0] < lams[i, 0, 0] else 0
+            x = np.sqrt(2.0) * vecs[i, best, :, 0]  # ||h||^2 + ||g||^2 = 2
+            h, g = x[:n], x[n:]
+            value = svl_value(vi, bp, h, g)
+            # the evaluator re-derives the overlap signs, so it must agree exactly
+            if abs(value - 2.0 * lams[i, best, 0]) > 1e-8 * (1.0 + abs(value)):
+                raise OptimizerFailureError("witness evaluator disagrees with eigenvalue optimum")
+            mine.append(EntanglementReport(bp, value, h, g, angles[i], res, list(flags)))
+        reports.append(mine)
     return reports
 
 
@@ -354,11 +420,19 @@ def svl_test(
     solved, and Q(+,+) does not depend on the bipartition.  E < 0
     certifies entanglement across the bipartition.
     """
-    return _witness_reports(v, [bipartition], decorrelate)[0]
+    return _witness_reports(_one(v), [bipartition], decorrelate)[0][0]
 
 
 def all_bipartition_reports(v: CovarianceMatrix):
     """Witness reports for every bipartition, in one common rotated frame."""
+    return _witness_reports(_one(v), all_bipartitions(v.n_modes), decorrelate=True)[0]
+
+
+def interval_reports(v: CovarianceMatrix):
+    """``all_bipartition_reports`` of each matrix of a (K, 2N, 2N) stack.
+
+    Decorrelation and the witness of all K matrices run as one stack.
+    """
     return _witness_reports(v, all_bipartitions(v.n_modes), decorrelate=True)
 
 
@@ -374,7 +448,8 @@ def propagate_errors(v_meas: CovarianceMatrix, amp, sem=None) -> np.ndarray:
     standard errors of the measured elements (same shape, amplified units).
     Four contributions per element: gain-fit leverage, added-noise fit
     (diagonal), de-embedded statistical error, and the gain/noise fit
-    covariance cross term (diagonal); returned as a symmetric 2N x 2N array.
+    covariance cross term (diagonal); returned as a symmetric 2N x 2N array,
+    or a stack of them for a stacked ``v_meas`` and ``sem``.
     """
     if amp.sigma_gain is None or amp.sigma_noise is None:
         raise MissingFitCovarianceError(
@@ -383,12 +458,13 @@ def propagate_errors(v_meas: CovarianceMatrix, amp, sem=None) -> np.ndarray:
     n = v_meas.n_modes
     if amp.n_modes != n:
         raise DimensionMismatchError("amplifier and covariance mode counts differ")
+    vm = v_meas.v
     if sem is None:
-        sem = np.zeros((2 * n, 2 * n))
+        sem = np.zeros_like(vm)
     sem = np.asarray(sem, dtype=float)
-    if sem.shape != (2 * n, 2 * n):
+    if sem.shape != vm.shape:
         raise DimensionMismatchError("sem must match the covariance shape")
-    sem = 0.5 * (sem + sem.T)
+    sem = 0.5 * (sem + np.swapaxes(sem, -1, -2))
 
     cov_gn = np.zeros(n) if amp.cov_gain_noise is None else amp.cov_gain_noise
     # element (a, b) belongs to mode i = a // 2 along its row and j = b // 2
@@ -397,8 +473,7 @@ def propagate_errors(v_meas: CovarianceMatrix, amp, sem=None) -> np.ndarray:
         amp.gain, amp.sigma_gain, amp.added_photons, amp.sigma_noise, cov_gn))
     gj, sgj = gi.T, sgi.T
     diag = np.eye(2 * n)
-    vm = v_meas.v
-    v_aa = np.diag(deamplify(v_meas, amp).v)[:, None]
+    v_aa = np.diagonal(deamplify(v_meas, amp).v, axis1=-2, axis2=-1)[..., None]
     # float_power rounds like the scalar x ** k (C pow); array ** squares by
     # multiplication, which differs in the last bit for a few inputs
     pw = np.float_power
@@ -419,7 +494,7 @@ def propagate_errors(v_meas: CovarianceMatrix, amp, sem=None) -> np.ndarray:
     return np.sqrt(np.maximum(var, 0.0))
 
 
-def entanglement_sigma(sigma_matrix, h, g, angles=None) -> float:
+def entanglement_sigma(sigma_matrix, h, g, angles=None):
     """Uncertainty of the witness value from per-element sigmas.
 
     Linear propagation of E through its quadratic forms: in the frame
@@ -428,20 +503,23 @@ def entanglement_sigma(sigma_matrix, h, g, angles=None) -> float:
     ``angles`` are the per-mode rotations W = R V R^T from the frame of
     ``sigma_matrix`` into that frame (``EntanglementReport.angles``), so
     dE = sum_ij (R^T C R)_ij dV_ij; None means the two frames coincide.
+    Leading axes of the arguments broadcast against each other: one sigma
+    is a float, a stack of them an array.
     """
     sigma_matrix = np.asarray(sigma_matrix, dtype=float)
-    h = np.asarray(h, dtype=float)
-    g = np.asarray(g, dtype=float)
-    n = h.size
-    if sigma_matrix.shape != (2 * n, 2 * n) or g.size != n:
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    g = np.atleast_1d(np.asarray(g, dtype=float))
+    n = h.shape[-1]
+    if sigma_matrix.shape[-2:] != (2 * n, 2 * n) or g.shape[-1] != n:
         raise DimensionMismatchError("sigma matrix does not match h and g")
-    c = np.zeros((2 * n, 2 * n))
-    c[0::2, 0::2] = np.outer(h, h)
-    c[1::2, 1::2] = np.outer(g, g)
+    c = np.zeros(np.broadcast_shapes(h.shape, g.shape)[:-1] + (2 * n, 2 * n))
+    c[..., 0::2, 0::2] = h[..., :, None] * h[..., None, :]
+    c[..., 1::2, 1::2] = g[..., :, None] * g[..., None, :]
     if angles is not None:
         r = mode_rotation(angles)
-        c = r.T @ c @ r
-    return float(np.sqrt(np.sum((c * sigma_matrix) ** 2)))
+        c = np.swapaxes(r, -1, -2) @ c @ r
+    sigma = np.sqrt(np.sum((c * sigma_matrix) ** 2, axis=(-2, -1)))
+    return float(sigma) if sigma.ndim == 0 else sigma
 
 
 def significance(values: Sequence[float], sigmas: Sequence[float]) -> float:

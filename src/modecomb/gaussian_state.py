@@ -43,9 +43,10 @@ class CovarianceMatrix:
     """Real symmetric quadrature covariance matrix, interleaved basis.
 
     ``v`` may carry leading axes that stack matrices (one per probe point);
-    each one is checked for symmetry on its own scale. ``amplify`` and
-    ``correlation_quantity`` take stacks; the methods take one matrix and
-    raise DimensionMismatchError on a stack.
+    each one is checked for symmetry on its own scale. ``amplify``,
+    ``deamplify``, ``covariance_sem`` and ``correlation_quantity`` take
+    stacks; the methods take one matrix and raise DimensionMismatchError on
+    a stack.
     """
 
     n_modes: int
@@ -244,7 +245,7 @@ def amplify(v, amp):
 
 
 def deamplify(v, amp):
-    """Exact algebraic inverse of amplify."""
+    """Exact algebraic inverse of amplify; takes stacks."""
     if v.n_modes != amp.n_modes:
         raise DimensionMismatchError("amplifier and covariance mode counts differ")
     t = amp.t_diagonal()
@@ -374,9 +375,10 @@ def covariance_sem(v, n_rows):
     """Standard error of each element of a sample covariance of n_rows rows.
 
     Gaussian (Wishart) element variance: Var(V_ij) = (V_ii V_jj + V_ij^2) / (n - 1).
+    A stacked ``v`` gives a stack.
     """
-    d = np.diag(v.v)
-    return np.sqrt((np.outer(d, d) + v.v**2) / (n_rows - 1.0))
+    d = np.diagonal(v.v, axis1=-2, axis2=-1)
+    return np.sqrt((d[..., :, None] * d[..., None, :] + v.v**2) / (n_rows - 1.0))
 
 
 def drift_compensation_angle(source, pair):

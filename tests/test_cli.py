@@ -317,7 +317,49 @@ def test_zero_reference_element_exits_two_before_any_artifact(tmp_path, capsys):
     assert main(["validate", str(path)]) == 0
     assert main(["run", str(path)]) == 2
     assert "'scattering.ref_out', 'scattering.ref_in'" in capsys.readouterr().err
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("template, edit, message", [
+    # no pump sits midway between modes 0 and 1
+    (SMALL_TWOMODE, ("freq_hz: 3.8310e9", "freq_hz: 3.9000e9"), "twomode.pair"),
+    # no pump matches any pair of the comb
+    (SMALL_MULTIMODE, ("  - {freq_hz: 3.83100e9, epsilon_hz: 30.0e3}\n"
+                       "  - {freq_hz: 3.84405e9, epsilon_hz: 30.0e3}\n"
+                       "  - {freq_hz: 3.85720e9, epsilon_hz: 30.0e3}\n"
+                       "  - {freq_hz: 3.84415e9, epsilon_hz: 30.0e3}\n",
+                       "  - {freq_hz: 3.90000e9, epsilon_hz: 30.0e3}\n"), "pumps"),
+    # S[0, 1] is exactly zero at the nominal spacing
+    (SMALL_SCATTERING + "  ref_in: 1\n", ("", ""), "scattering.ref_in"),
+], ids=["twomode", "multimode", "scattering"])
+def test_pipeline_config_error_leaves_no_output_directory(
+        tmp_path, capsys, template, edit, message):
+    path = write_config(tmp_path, template.replace(*edit))
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_run_keeps_an_existing_output_directory(tmp_path):
+    path = write_config(tmp_path, SMALL_SCATTERING + "  ref_in: 1\n")
+    (tmp_path / "out").mkdir()
+    assert main(["run", str(path)]) == 2
+    assert (tmp_path / "out").is_dir()
+
+
+def test_bad_correlation_csv_leaves_no_artifact(tmp_path, capsys):
+    data = tmp_path / "one_column.csv"
+    data.write_text("detuning_hz\n-1000.0\n0.0\n1000.0\n")
+    cfg = SMALL_CALIBRATION.replace(
+        "    span_hz: 120.0e3\n    count: 21\n",
+        f"    data_csv: {data}\n",
+    )
+    path = write_config(tmp_path, cfg)
+    assert main(["run", str(path)]) == 2
+    assert "calibration.correlation.data_csv" in capsys.readouterr().err
+    # the planck subsection fits, but nothing is written before both have
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_digest_matches_config(tmp_path):

@@ -23,6 +23,7 @@ from modecomb import (
     deamplify,
     decorrelate_iq,
     entanglement_sigma,
+    interval_reports,
     output_covariance,
     ppt_min_eigenvalue,
     propagate_errors,
@@ -32,6 +33,7 @@ from modecomb import (
     svl_value,
     two_mode_squeezed_covariance,
 )
+from modecomb import entanglement as ent
 from modecomb.bases import mode_rotation, symplectic_form
 from modecomb.entanglement import (
     IQ_RESIDUAL_LIMIT,
@@ -39,6 +41,7 @@ from modecomb.entanglement import (
     _iq_objective,
     own_iq_angles,
 )
+from modecomb.gaussian_state import covariance_sem
 
 TWO_PI = 2.0 * np.pi
 
@@ -506,3 +509,147 @@ def test_significance_weighting():
     assert single == pytest.approx(-2.0, rel=1e-12)
     double = significance([-1.0, -1.0], [0.5, 0.5])
     assert double == pytest.approx(-2.0 * np.sqrt(2.0), rel=1e-12)
+
+
+def reference_decorrelate_iq(v):
+    """The earlier one-matrix Newton search of ``decorrelate_iq``, kept as
+    an oracle: the same starts and steps, with the matrix broadcast over
+    its starts and every rotated W kept."""
+    n = v.n_modes
+    base = own_iq_angles(v)
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    theta = np.vstack([np.zeros(n), base + 0.5 * np.pi * bits])
+    f, w = _iq_objective(v.v, theta)
+    grad, hess = _iq_derivatives(w)
+    gnorm = np.linalg.norm(grad, axis=-1)
+    scale = float(np.sum(v.v**2))
+    damp = np.full(theta.shape[0], ent._NEWTON_DAMP_START)
+    active = gnorm > ent._NEWTON_GTOL * scale
+    for _ in range(ent._NEWTON_MAX_ITER):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        e, u = np.linalg.eigh(hess[idx])
+        unit = np.maximum(np.abs(e).max(axis=-1), np.finfo(float).eps * scale)
+        shift = np.maximum(0.0, -e[:, 0]) + damp[idx] * unit
+        coef = np.einsum("bji,bj->bi", u, grad[idx]) / (e + shift[:, None])
+        step = -np.einsum("bij,bj->bi", u, coef)
+        longest = np.abs(step).max(axis=-1, keepdims=True)
+        step *= ent._NEWTON_MAX_STEP / np.maximum(longest, ent._NEWTON_MAX_STEP)
+        trial = theta[idx] + step
+        f_trial, w_trial = _iq_objective(v.v, trial)
+        g_trial, h_trial = _iq_derivatives(w_trial)
+        gn_trial = np.linalg.norm(g_trial, axis=-1)
+        level = f[idx] + ent._NEWTON_F_ROUNDING * np.sqrt(f[idx] * scale)
+        better = (f_trial < f[idx]) | ((f_trial <= level) & (gn_trial <= 0.5 * gnorm[idx]))
+        ok, bad = idx[better], idx[~better]
+        theta[ok], f[ok], w[ok] = trial[better], f_trial[better], w_trial[better]
+        grad[ok], hess[ok], gnorm[ok] = g_trial[better], h_trial[better], gn_trial[better]
+        damp[ok] = np.maximum(damp[ok] / 10.0, ent._NEWTON_DAMP_MIN)
+        damp[bad] *= 100.0
+        active[ok[gnorm[ok] <= ent._NEWTON_GTOL * scale]] = False
+        active[bad[damp[bad] > ent._NEWTON_DAMP_MAX]] = False
+    best = int(np.argmin(f))
+    angles = theta[best]
+    if np.trace(w[best, 1::2, 1::2]) > np.trace(w[best, 0::2, 0::2]):
+        angles = angles + 0.5 * np.pi
+    angles = np.mod(angles + 0.5 * np.pi, np.pi) - 0.5 * np.pi
+    _, w = _iq_objective(v.v, angles)
+    in_block = max(np.linalg.norm(w[0::2, 0::2]), np.linalg.norm(w[1::2, 1::2]), 1e-300)
+    return CovarianceMatrix(n, w), angles, float(np.linalg.norm(w[0::2, 1::2]) / in_block)
+
+
+def reference_reports(v):
+    """The earlier one-matrix witness: decorrelate, then one (1 + B)-matrix
+    ``eigh`` per covariance; (value, h, g) per bipartition."""
+    clean = reference_decorrelate_iq(v)[0]
+    n = v.n_modes
+    bps = all_bipartitions(n)
+    signs = np.ones((1 + len(bps), n))
+    for row, bp in zip(signs[1:], bps):
+        row[list(bp.part_b)] = -1.0
+    q = np.zeros((len(signs), 2 * n, 2 * n))
+    q[:, :n, :n] = clean.v[0::2, 0::2]
+    q[:, n:, n:] = clean.v[1::2, 1::2]
+    k = np.arange(n)
+    q[:, k, n + k] = q[:, n + k, k] = -signs
+    lams, vecs = np.linalg.eigh(q)
+    out = []
+    for b, bp in enumerate(bps, start=1):
+        best = b if lams[b, 0] < lams[0, 0] else 0
+        x = np.sqrt(2.0) * vecs[best, :, 0]
+        out.append((svl_value(clean, bp, x[:n], x[n:]), x[:n], x[n:]))
+    return out
+
+
+def reference_sigma(s, h, g, angles):
+    """The earlier one-report witness sigma, kept as an oracle."""
+    c = np.zeros(s.shape)
+    c[0::2, 0::2] = np.outer(h, h)
+    c[1::2, 1::2] = np.outer(g, g)
+    r = mode_rotation(angles)
+    return float(np.sqrt(np.sum((r.T @ c @ r * s) ** 2)))
+
+
+def interval_stack(seed, count, n_modes):
+    return CovarianceMatrix(n_modes, np.array(
+        [v.v for v in rotated_random_states(seed, count, sizes=(n_modes,))]))
+
+
+@pytest.mark.parametrize("n_modes", [2, 3, 4])
+def test_stacked_decorrelation_matches_the_one_matrix_search(n_modes):
+    stack = interval_stack(31 + n_modes, 12, n_modes)
+    w, angles, residual = ent._decorrelate_stack(stack)
+    for i, v in enumerate(stack.v):
+        ref_w, ref_angles, ref_residual = reference_decorrelate_iq(CovarianceMatrix(n_modes, v))
+        assert np.array_equal(angles[i], ref_angles)
+        assert np.array_equal(CovarianceMatrix(n_modes, w[i]).v, ref_w.v)
+        assert residual[i] == ref_residual
+        one_w, one_angles, one_residual = decorrelate_iq(CovarianceMatrix(n_modes, v))
+        assert np.array_equal(one_angles, ref_angles) and one_residual == ref_residual
+        assert np.array_equal(one_w.v, ref_w.v)
+
+
+@pytest.mark.parametrize("n_modes", [2, 4])
+def test_stacked_witness_and_sigma_match_the_one_matrix_path(n_modes):
+    stack = interval_stack(47 + n_modes, 10, n_modes)
+    rng = np.random.default_rng(48)
+    s = np.abs(rng.normal(1.0, 0.5, stack.v.shape))
+    s = (s + np.swapaxes(s, 1, 2)) / 2.0
+    stacked = interval_reports(stack)
+    angles = np.array([reps[0].angles for reps in stacked])
+    for b in range(len(stacked[0])):
+        sigmas = entanglement_sigma(s, np.array([reps[b].h for reps in stacked]),
+                                    np.array([reps[b].g for reps in stacked]), angles)
+        for i, reps in enumerate(stacked):
+            rep = reps[b]
+            assert sigmas[i] == reference_sigma(s[i], rep.h, rep.g, rep.angles)
+            assert sigmas[i] == entanglement_sigma(s[i], rep.h, rep.g, rep.angles)
+    for i, v in enumerate(stack.v):
+        one = all_bipartition_reports(CovarianceMatrix(n_modes, v))
+        for rep, single, (value, h, g) in zip(stacked[i], one,
+                                              reference_reports(CovarianceMatrix(n_modes, v))):
+            assert rep.bipartition == single.bipartition
+            assert rep.value == single.value == value
+            assert np.array_equal(rep.h, h) and np.array_equal(single.h, h)
+            assert np.array_equal(rep.g, g) and np.array_equal(single.g, g)
+            assert np.array_equal(rep.angles, single.angles)
+            assert rep.iq_residual == single.iq_residual and rep.flags == single.flags
+
+
+def test_stacked_error_propagation_matches_one_matrix_calls():
+    rng = np.random.default_rng(50)
+    n = 3
+    amp = AmplifierModel(n, rng.uniform(50.0, 150.0, n), rng.uniform(0.1, 5.0, n),
+                         sigma_gain=rng.uniform(0.1, 2.0, n),
+                         sigma_noise=rng.uniform(0.01, 0.2, n),
+                         cov_gain_noise=rng.uniform(-0.001, 0.001, n))
+    meas = CovarianceMatrix(n, np.array(
+        [amplify(v, amp).v for v in rotated_random_states(51, 6, sizes=(n,))]))
+    sem = covariance_sem(meas, 1000)
+    sigma = propagate_errors(meas, amp, sem=sem)
+    for i, v in enumerate(meas.v):
+        one = CovarianceMatrix(n, v)
+        assert np.array_equal(sem[i], covariance_sem(one, 1000))
+        assert np.array_equal(sigma[i], propagate_errors(one, amp, sem=sem[i]))
+        assert np.array_equal(deamplify(meas, amp).v[i], deamplify(one, amp).v)

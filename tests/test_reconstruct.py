@@ -1,5 +1,7 @@
 """Minimax physical-state reconstruction: certified brackets and an SDP oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,13 @@ from hypothesis import strategies as st
 
 from modecomb import (
     CovarianceMatrix,
+    DimensionMismatchError,
     NonConvergenceWarning,
+    reconstruct_intervals,
     reconstruct_physical,
     two_mode_squeezed_covariance,
 )
+from modecomb import reconstruct as rc
 from modecomb.bases import symplectic_form
 
 
@@ -142,3 +147,157 @@ def test_lower_bound_never_exceeds_the_true_state(seed, n_modes, noise):
     res = reconstruct_physical(vm, sigma=sigma, t_width=1e-4)
     assert res.t_lower <= np.max(np.abs(v_true - vm) / sigma)
     assert res.t_lower <= res.objective
+
+
+def reference_barrier(arr, sig, t_width, max_iter):
+    """The earlier per-matrix path-following search, kept as an oracle.
+
+    One matrix at a time, with the Hessian gathered as four complex
+    (npar, npar) products and scalar line searches.  Returns (v,
+    objective, t_lower, eigendecompositions); (arr, 0, 0, 0) when ``arr``
+    is already physical.
+    """
+    m = arr.shape[0]
+    h0 = arr + 1j * symplectic_form(m // 2)
+    w, u = np.linalg.eigh(h0)
+    if w[0] >= -rc.FEAS_TOL:
+        return arr, 0.0, 0.0, 0
+
+    def dual_bound(z):
+        return -np.vdot(h0, z).real / float(np.vdot(sig, np.abs(z.real)))
+
+    iu, ju = np.triu_indices(m)
+    half = np.where(iu == ju, 0.5, 1.0)
+    hh = 2.0 * np.outer(half, half)
+    gather = np.stack([iu[:, None] * m + ju, ju[:, None] * m + iu,
+                       iu[:, None] * m + iu, ju[:, None] * m + ju])
+    sp = sig[iu, ju]
+    npar = iu.size
+    t_lower = max(0.0, dual_bound(np.outer(u[:, 0], u[:, 0].conj())))
+    d = np.where(iu == ju, -rc.START_LIFT * w[0], 0.0)
+    t = 2.0 * float(np.max(np.abs(d) / sp))
+    tau = (m + 2 * npar) / t
+    dmat = np.zeros((m, m))
+    best, t_upper = None, np.inf
+    hess = np.empty((npar + 1, npar + 1))
+    grad = np.empty(npar + 1)
+    iters = 0
+    while True:
+        dmat[iu, ju] = d
+        dmat[ju, iu] = d
+        w, u = np.linalg.eigh(h0 + dmat)
+        iters += 1
+        a = t * sp - d
+        b = t * sp + d
+        if min(w[0], a.min(), b.min()) <= 0.0:
+            break
+        y = (u / w) @ u.conj().T
+        point = arr + dmat
+        realized = float(np.max(np.abs(point - arr) / sig))
+        if realized < t_upper:
+            best, t_upper = point, realized
+        t_lower = max(t_lower, dual_bound(y))
+        if (t_upper - t_lower <= max(t_width, rc.GAP_REL * t_upper)
+                or iters + 2 > max_iter):
+            break
+        ia2, ib2 = 1.0 / a**2, 1.0 / b**2
+        pull = sp @ (1.0 / a + 1.0 / b)
+        grad[1:] = 1.0 / a - 1.0 / b - 2.0 * half * y.real[iu, ju]
+        g = y.ravel()[gather]
+        hess[1:, 1:] = hh * (g[0].conj() * g[1] + g[2].conj() * g[3]).real
+        hess.flat[npar + 2::npar + 2] += ia2 + ib2
+        hess[0, 0] = sp**2 @ (ia2 + ib2)
+        hess[0, 1:] = hess[1:, 0] = sp * (ib2 - ia2)
+        decrement = 0.0
+        while decrement <= rc.CENTERED:
+            grad[0] = tau - pull
+            step = np.linalg.solve(hess, -grad)
+            decrement = float(np.sqrt(max(-grad @ step, 0.0)))
+            if decrement <= rc.CENTERED:
+                tau *= rc.TAU_GROWTH
+        dmat[iu, ju] = step[1:]
+        dmat[ju, iu] = step[1:]
+        v = u / np.sqrt(w)
+        mu = np.linalg.eigvalsh(v.conj().T @ dmat @ v)
+        iters += 1
+        rates = np.concatenate(
+            (mu, (step[0] * sp - step[1:]) / a, (step[0] * sp + step[1:]) / b))
+        neg = rates < 0.0
+        alpha = min(1.0, rc.BOUNDARY * float(np.min(-1.0 / rates[neg]))) if neg.any() else 1.0
+        slope = tau * step[0]
+        while (alpha * slope - float(np.sum(np.log1p(alpha * rates)))
+               > -rc.ARMIJO * alpha * decrement**2):
+            alpha *= 0.5
+            if alpha < 1e-12:
+                alpha = 0.0
+                break
+        if alpha == 0.0:
+            break
+        t += alpha * step[0]
+        d = d + alpha * step[1:]
+    return best, t_upper, t_lower, iters
+
+
+def assert_same_result(got, ref):
+    """Two results agree element for element, bit for bit."""
+    assert got.objective == ref.objective
+    assert got.t_lower == ref.t_lower
+    assert got.iterations == ref.iterations
+    assert got.converged == ref.converged
+    assert got.flags == ref.flags
+    assert got.sigma_floored == ref.sigma_floored
+    assert np.array_equal(got.v.v, ref.v.v)
+
+
+def criterion_06_stacks():
+    """The 100 instances of criterion 06, stacked by mode count."""
+    rng = np.random.default_rng(20260814)
+    cases = [perturbed_case(rng, 1 + (i % 2)) for i in range(100)]
+    return [np.array(cases[0::2]), np.array(cases[1::2])]
+
+
+def test_lockstep_matches_the_per_matrix_search_on_criterion_06():
+    for stack in criterion_06_stacks():
+        results = reconstruct_intervals(stack, sigma=0.05, t_width=1e-5)
+        for vm, res in zip(stack, results):
+            assert_same_result(res, reconstruct_physical(vm, sigma=0.05, t_width=1e-5))
+            v, objective, t_lower, iters = reference_barrier(
+                vm, np.full(vm.shape, 0.05), 1e-5, rc.MAX_ITER)
+            assert (res.objective, res.t_lower, res.iterations) == (
+                objective, t_lower, iters)
+            assert np.array_equal(res.v.v, v)
+
+
+def test_lockstep_mixes_fast_path_and_exhausted_budgets():
+    rng = np.random.default_rng(5)
+    stack = np.array([two_mode_squeezed_covariance(0.5).v,
+                      perturbed_case(rng, 2, noise=0.2),
+                      perturbed_case(rng, 2, noise=0.3)])
+    sigma = rng.uniform(0.03, 0.08, stack.shape)
+    sigma = (sigma + np.swapaxes(sigma, 1, 2)) / 2.0
+    with pytest.warns(NonConvergenceWarning) as caught:
+        results = reconstruct_intervals(stack, sigma=sigma, t_width=1e-9, max_iter=3)
+    # one warning per exhausted interval, each naming it
+    assert sorted(str(w.message).split(":")[0] for w in caught) == [
+        "interval 1", "interval 2"]
+    assert results[0].iterations == 0 and results[0].converged
+    for i, res in enumerate(results):
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            single = reconstruct_physical(stack[i], sigma=sigma[i], t_width=1e-9, max_iter=3)
+        assert_same_result(res, single)
+        assert len(alone) == (i > 0)
+        assert all(not str(w.message).startswith("interval") for w in alone)
+        v, objective, t_lower, iters = reference_barrier(stack[i], sigma[i], 1e-9, 3)
+        assert (res.objective, res.t_lower, res.iterations) == (objective, t_lower, iters)
+        assert np.array_equal(res.v.v, v)
+    for res in results[1:]:
+        assert not res.converged and res.flags == ["iteration_cap_reached"]
+
+
+def test_stack_shape_and_sigma_checks():
+    with pytest.raises(DimensionMismatchError):
+        reconstruct_intervals(np.eye(4))
+    with pytest.raises(DimensionMismatchError):
+        reconstruct_intervals(np.eye(4)[None], sigma=np.ones((4, 4)))
+    assert reconstruct_intervals(np.zeros((0, 4, 4))) == []
