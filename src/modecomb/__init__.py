@@ -98,7 +98,6 @@ from .modesys import (
 from .reconstruct import ReconstructionResult, reconstruct_intervals, reconstruct_physical
 from .scattering import (
     ScatteringPair,
-    export_db_table,
     network,
     pseudo_unitarity_residual,
     scattering_matrices,
@@ -106,94 +105,3 @@ from .scattering import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmplifierModel",
-    "Bipartition",
-    "CalibrationStore",
-    "ConfigError",
-    "CorrelationFitResult",
-    "CouplingMatrix",
-    "CovarianceMatrix",
-    "DegenerateModeError",
-    "DimensionMismatchError",
-    "EmptySamplesError",
-    "EntanglementReport",
-    "FitDivergedError",
-    "FourWaveMatch",
-    "GainBelowUnityError",
-    "GAAS_REFERENCE",
-    "MaterialParams",
-    "InsufficientDataError",
-    "MirrorSpec",
-    "MissingFitCovarianceError",
-    "ModeSpec",
-    "ModeSystem",
-    "ModecombError",
-    "NegativeNoiseError",
-    "NonConvergenceWarning",
-    "NonPhysicalInputError",
-    "NotPSDError",
-    "NumericalError",
-    "OptimizerFailureError",
-    "PhysicalityWarning",
-    "PlanckFitResult",
-    "PumpTone",
-    "QuadratureSamples",
-    "ReconstructionResult",
-    "RunReport",
-    "ScatteringPair",
-    "ScenarioConfig",
-    "SingularMatrixError",
-    "UnstablePumpError",
-    "ZeroVarianceError",
-    "added_noise_from_pump_off",
-    "all_bipartition_reports",
-    "all_bipartitions",
-    "amplify",
-    "assign_probe_frequencies",
-    "bose_occupation",
-    "build_coupling_matrix",
-    "c_lineshape",
-    "correlation_quantity",
-    "deamplify",
-    "decorrelate_iq",
-    "default_tolerance",
-    "dressed_frequencies",
-    "drift_compensation_angle",
-    "effective_couplings",
-    "entanglement_sigma",
-    "estimate_vacuum_coupling",
-    "export_db_table",
-    "fit_gain_from_correlations",
-    "histogram2d_subtracted",
-    "interval_reports",
-    "main",
-    "match_four_wave",
-    "mode_frequency_shifts",
-    "network",
-    "output_covariance",
-    "pair_couplings",
-    "parametric_coupling",
-    "planck_fit",
-    "planck_power",
-    "ppt_min_eigenvalue",
-    "ppt_temperature_sweep",
-    "propagate_errors",
-    "pseudo_unitarity_residual",
-    "pump_amplitude",
-    "reconstruct_intervals",
-    "reconstruct_physical",
-    "run_scenario",
-    "sample",
-    "sample_covariance",
-    "scattering_matrices",
-    "significance",
-    "squeezing_stats",
-    "svl_test",
-    "svl_value",
-    "symplectic_form",
-    "symplectic_residual",
-    "thermal_covariance",
-    "two_mode_squeezed_covariance",
-]

@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonPhysicalInputError
 
+IMAG_TOL = 1e-9  # largest imaginary residue quadrature_transform accepts
+
 
 def symplectic_form(n_modes):
     """Interleaved-basis symplectic form, a direct sum of [[0, 1], [-1, 0]] blocks."""
@@ -39,11 +41,11 @@ def ladder_to_quadrature_map(n_modes):
     return u
 
 
-def quadrature_transform(s_ladder, imag_tol=1e-9):
+def quadrature_transform(s_ladder):
     """Convert a ladder-basis linear transformation to the quadrature basis.
 
     The result of U S U^dag / 2 must be real for a physical (Bogoliubov
-    paired) transformation; a larger imaginary residue anywhere raises.
+    paired) transformation; a residue above IMAG_TOL anywhere raises.
     Leading axes of ``s_ladder`` stack matrices.
     """
     s_ladder = np.asarray(s_ladder, dtype=complex)
@@ -53,9 +55,9 @@ def quadrature_transform(s_ladder, imag_tol=1e-9):
     u = ladder_to_quadrature_map(n)
     s_q = u @ s_ladder @ u.conj().T / 2.0
     residue = np.max(np.abs(s_q.imag)) if s_q.size else 0.0
-    if residue > imag_tol:
+    if residue > IMAG_TOL:
         raise NonPhysicalInputError(
-            f"quadrature transform has imaginary residue {residue:.3e} > {imag_tol:.1e}; "
+            f"quadrature transform has imaginary residue {residue:.3e} > {IMAG_TOL:.1e}; "
             "the ladder matrix does not pair b with b^dag consistently"
         )
     return s_q.real

@@ -37,7 +37,6 @@ from .errors import (
 )
 from .gaussian_state import (
     AmplifierModel,
-    CovarianceMatrix,
     amplify,
     bose_occupation,
     correlation_quantity,
@@ -45,7 +44,6 @@ from .gaussian_state import (
     output_covariance,
     thermal_covariance,
 )
-from .modesys import ModeSpec
 from .scattering import network
 
 
@@ -272,16 +270,14 @@ def added_noise_from_pump_off(v_off, gain, modes, temperature):
     across quadratures.  Raises NegativeNoiseError when the inversion lands
     below zero, which indicates an inconsistent gain or temperature.
     """
-    v = v_off.v if isinstance(v_off, CovarianceMatrix) else np.asarray(v_off, float)
-    n_modes = v.shape[0] // 2
-    if len(modes) != n_modes:
+    v = v_off.v
+    if len(modes) != v_off.n_modes:
         raise DimensionMismatchError("mode list does not match the covariance size")
     if gain <= 1.0:
         raise ValueError("chain gain must exceed unity to solve for added noise")
-    omegas = [m.omega if isinstance(m, ModeSpec) else float(m) for m in modes]
     est = []
-    for j, omega in enumerate(omegas):
-        therm = 2.0 * bose_occupation(omega, temperature) + 1.0
+    for j, mode in enumerate(modes):
+        therm = 2.0 * bose_occupation(mode.omega, temperature) + 1.0
         for q in (2 * j, 2 * j + 1):
             est.append(((v[q, q] - gain * therm) / (gain - 1.0) - 1.0) / 2.0)
     n = float(np.mean(est))
@@ -303,7 +299,7 @@ def ppt_temperature_sweep(v_meas_on, v_off, deltas, c_measured, modes, temperatu
     At each temperature T the chain calibration is redone under that
     assumption: (G, eps) refit to the measured correlation lineshape
     ``(deltas, c_measured)``, the added noise re-derived from the pump-off
-    covariance ``v_off``, the pump-on covariance de-embedded, and the
+    covariance ``v_off``, the pump-on ``v_meas_on`` de-embedded, and the
     minimum PPT eigenvalue recorded.  Hotter assumed inputs explain the
     same data with less gain, so the de-embedded state grows noisier and
     the eigenvalue rises.
@@ -311,12 +307,7 @@ def ppt_temperature_sweep(v_meas_on, v_off, deltas, c_measured, modes, temperatu
     Returns (lambdas, crossing) where ``crossing`` is the temperature at
     which the eigenvalue changes sign (None when it never does).
     """
-    v_on = (
-        v_meas_on if isinstance(v_meas_on, CovarianceMatrix) else CovarianceMatrix(
-            np.asarray(v_meas_on, float).shape[0] // 2, np.asarray(v_meas_on, float)
-        )
-    )
-    if v_on.n_modes != 2:
+    if v_meas_on.n_modes != 2:
         raise DimensionMismatchError("the sweep is defined for two-mode states")
     temperatures = np.asarray(temperatures, dtype=float)
     if temperatures.size < 2:
@@ -335,7 +326,7 @@ def ppt_temperature_sweep(v_meas_on, v_off, deltas, c_measured, modes, temperatu
         warm["p0"] = (fit.gain, fit.eps)
         added = added_noise_from_pump_off(v_off, fit.gain, modes, t)
         amp = AmplifierModel.uniform(2, fit.gain, added)
-        return ppt_min_eigenvalue(deamplify(v_on, amp), [1])
+        return ppt_min_eigenvalue(deamplify(v_meas_on, amp), [1])
 
     lambdas = np.array([lam_at(t) for t in temperatures])
 

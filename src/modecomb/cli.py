@@ -83,7 +83,7 @@ from .gaussian_state import (
 )
 from .modesys import PumpTone
 from .reconstruct import reconstruct_intervals
-from .scattering import export_db_table, magnitude_db, network
+from .scattering import magnitude_db, network
 
 # ---------------------------------------------------------------------------
 # Shared pipeline plumbing
@@ -94,7 +94,6 @@ class RunReport:
     """Artifact manifest and headline numbers of one pipeline run."""
 
     pipeline: str
-    config_path: str
     config_digest: str
     output_dir: str
     files: list = field(default_factory=list)
@@ -103,7 +102,7 @@ class RunReport:
     def to_dict(self):
         return {
             "pipeline": self.pipeline,
-            "config": {"path": self.config_path, "sha256": self.config_digest},
+            "config": {"sha256": self.config_digest},
             "files": sorted(self.files),
             "metrics": self.metrics,
         }
@@ -149,6 +148,15 @@ def _write_csv(out_dir, name, header, rows):
         w.writerows([x if isinstance(x, (str, int)) else repr(float(x)) for x in row]
                     for row in rows)
     return name
+
+
+def _write_covariance(out_dir, name, v):
+    """Write one covariance matrix as a CSV table with I/Q labels; a stack
+    is refused before the file is opened."""
+    rows = v._single(name)
+    labels = [f"{q}{j}" for j in range(v.n_modes) for q in "IQ"]
+    return _write_csv(out_dir, name, ["row"] + labels,
+                      ([lab, *row] for lab, row in zip(labels, rows)))
 
 
 def _couplings_for(scfg, pumps=None, tolerance=None):
@@ -239,11 +247,11 @@ def _run_twomode(scfg, out_dir):
             for b in range(blocks):
                 state = "on" if b % 2 == 0 else "off"
                 smp = sample(v_on if state == "on" else v_off, scfg.n_samples,
-                             [scfg.seed, 0, d_idx, i, b], pump_state=state)
+                             [scfg.seed, 0, d_idx, i, b])
                 if phi:
                     smp = smp.rotate(np.full(n, phi))
                 parts[state].append(smp.data)
-        return (QuadratureSamples(n, np.vstack(parts[state]), state)
+        return (QuadratureSamples(n, np.vstack(parts[state]))
                 for state in ("on", "off"))
 
     def one_detuning(d_idx):
@@ -285,10 +293,9 @@ def _run_twomode(scfg, out_dir):
              for r, c in np.ndindex(h_on.shape))))
 
     mid = len(detunings) // 2
-    for name, v in (("covariance_on_model.csv", rows[mid]["v_on"]),
-                    ("covariance_off_model.csv", rows[mid]["v_off"])):
-        v.to_csv(os.path.join(out_dir, name))
-        files.append(name)
+    files += [_write_covariance(out_dir, name, rows[mid][key])
+              for name, key in (("covariance_on_model.csv", "v_on"),
+                                ("covariance_off_model.csv", "v_off"))]
 
     r_p = [row["r_p"] for row in rows]
     best = int(np.argmin(r_p))
@@ -377,15 +384,13 @@ def _run_multimode(scfg, out_dir):
                           for i, (rec, reps) in enumerate(zip(recs, reports))]
     flag_counts = Counter(flag for fl in flags for flag in fl)
 
-    files = []
     _write_json(os.path.join(out_dir, "entanglement_table.json"), table)
-    files.append("entanglement_table.json")
-    for name, v in (("covariance_output_model.csv", v_out),
-                    ("covariance_measured_model.csv", v_model),
-                    ("covariance_measured_mean.csv", v_hat_mean),
-                    ("covariance_reconstructed_mean.csv", v_rec_mean)):
-        v.to_csv(os.path.join(out_dir, name))
-        files.append(name)
+    files = ["entanglement_table.json"] + [
+        _write_covariance(out_dir, name, v)
+        for name, v in (("covariance_output_model.csv", v_out),
+                        ("covariance_measured_model.csv", v_model),
+                        ("covariance_measured_mean.csv", v_hat_mean),
+                        ("covariance_reconstructed_mean.csv", v_rec_mean))]
 
     objectives = [rec.objective for rec in recs]
     metrics = {
@@ -576,7 +581,8 @@ def _run_scattering(scfg, out_dir):
     nominal_idx = int(np.argmin(np.abs(spacings - nominal)))
     ladder = results[nominal_idx][1]
     reference = (sec["ref_out"], sec["ref_in"])
-    if ladder.s[reference] == 0.0:
+    ref_abs = abs(ladder.s[reference])
+    if ref_abs == 0.0:
         raise ConfigError(
             f"config field 'scattering.ref_out', 'scattering.ref_in': S{reference} "
             f"is zero at the nominal spacing and cannot be the dB reference")
@@ -589,9 +595,13 @@ def _run_scattering(scfg, out_dir):
           np.angle(net.s[r, c])]
          for s, (n_match, net) in zip(spacings, results)
          for r, c in np.ndindex(net.s.shape)))]
-    export_db_table(ladder, os.path.join(out_dir, "scattering_matched.csv"),
-                    reference=reference)
-    files.append("scattering_matched.csv")
+    # |S| in dB against the reference element, which every row names
+    files.append(_write_csv(
+        out_dir, "scattering_matched.csv",
+        ["out", "in", "mag_db", "phase_rad", "ref_out", "ref_in", "ref_abs"],
+        ([labels[r], labels[c], magnitude_db(ladder.s[r, c], ref_abs),
+          np.angle(ladder.s[r, c]), labels[reference[0]], labels[reference[1]], ref_abs]
+         for r, c in np.ndindex(ladder.s.shape))))
 
     gains_db = [float(magnitude_db(np.abs(np.diagonal(net.s)).max()))
                 for _, net in results]
@@ -639,7 +649,6 @@ def run_scenario(config_path):
     _check_finite(metrics)
     report = RunReport(
         pipeline=scfg.pipeline,
-        config_path=str(config_path),
         config_digest=digest,
         output_dir=scfg.output_dir,
         files=sorted(files) + ["report.json"],

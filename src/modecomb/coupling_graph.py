@@ -14,15 +14,12 @@ here. ``scattering.network`` turns modes and couplings into the scattering
 matrices through ``build_coupling_matrix``.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import modesys
 from .errors import DimensionMismatchError
-
-STRUCTURE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -124,40 +121,6 @@ class CouplingMatrix:
     probe_detunings: np.ndarray
     couplings: dict = field(default_factory=dict)
 
-    def a_block(self):
-        return self.m[..., : self.n_modes, : self.n_modes]
-
-    def b_block(self):
-        return self.m[..., : self.n_modes, self.n_modes :]
-
-    def structure_residual(self):
-        """Max deviation from the [[A, B], [-conj(B), -conj(A)]] structure."""
-        n = self.n_modes
-        a, b = self.a_block(), self.b_block()
-        res = max(
-            np.max(np.abs(self.m[..., n:, :n] + np.conj(b))),
-            np.max(np.abs(self.m[..., n:, n:] + np.conj(a))),
-            np.max(np.abs(b - np.swapaxes(b, -1, -2))),
-            np.max(np.abs(a * (1.0 - np.eye(n)))),
-        )
-        return float(res)
-
-    def to_csv(self, path):
-        """Write the matrix with real/imag parts in interleaved columns."""
-        n = self.n_modes
-        labels = [f"b{j}" for j in range(n)] + [f"bdag{j}" for j in range(n)]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["row"]
-            for lab in labels:
-                header += [f"re({lab})", f"im({lab})"]
-            writer.writerow(header)
-            for i, lab in enumerate(labels):
-                row = [lab]
-                for j in range(2 * n):
-                    row += [repr(float(self.m[i, j].real)), repr(float(self.m[i, j].imag))]
-                writer.writerow(row)
-
 
 def build_coupling_matrix(modes, couplings, probe_omegas=None):
     """Assemble the coupling matrix for a probed mode set.
@@ -203,10 +166,10 @@ def build_coupling_matrix(modes, couplings, probe_omegas=None):
     return CouplingMatrix(n, m, detunings, dict(couplings))
 
 
-def assign_probe_frequencies(modes, matches, couplings=None, anchor=0):
+def assign_probe_frequencies(modes, matches, couplings=None):
     """Probe frequencies satisfying the frame condition Omega_j + Omega_k = 2 w_p.
 
-    Breadth-first propagation from the anchor mode (probed on its shifted
+    Breadth-first propagation from mode 0 (probed on its shifted
     resonance) through the match graph. Modes without a path keep their own
     resonance. Edges that close a cycle may be inconsistent; their residual
     circulation (rad/s) is returned instead of being silently absorbed.
@@ -220,7 +183,7 @@ def assign_probe_frequencies(modes, matches, couplings=None, anchor=0):
     """
     omegas = dressed_frequencies(modes, couplings or {})
     # pump frequency per edge; degenerate matches pin the mode on the pump
-    assigned = {anchor}
+    assigned = {0}
     edges = [(i, mt) for i, mt in enumerate(matches)]
     frontier = True
     tree = set()

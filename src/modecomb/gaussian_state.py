@@ -6,7 +6,6 @@ variance 2 n_bar + 1. Physicality means V + i Omega >= 0, which also implies
 V >= 0 for real symmetric V.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +80,6 @@ class CovarianceMatrix:
         """Smallest eigenvalue of V + i Omega."""
         return min_physicality_eigenvalue(self._single("min_physicality_eigenvalue"))
 
-    def is_physical(self, tol=1e-9):
-        return self.min_physicality_eigenvalue() >= -tol
-
     def submatrix(self, mode_positions):
         """Covariance of a subset of modes, keeping the given order."""
         v = self._single("submatrix")
@@ -102,28 +98,15 @@ class CovarianceMatrix:
             raise DimensionMismatchError("need one rotation angle per mode")
         return CovarianceMatrix(self.n_modes, r @ v @ r.T)
 
-    def to_csv(self, path):
-        v = self._single("to_csv")
-        labels = []
-        for j in range(self.n_modes):
-            labels += [f"I{j}", f"Q{j}"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row"] + labels)
-            for i, lab in enumerate(labels):
-                writer.writerow([lab] + [repr(float(x)) for x in v[i]])
-
 
 def thermal_covariance(modes, temperature):
     """Thermal state of uncoupled modes: V = diag(2 n_bar_j + 1).
 
-    ``modes`` may be ModeSpec objects or angular frequencies (rad/s).
-    Temperature 0 returns the vacuum.
+    ``modes`` is a sequence of ModeSpec. Temperature 0 returns the vacuum.
     """
-    omegas = np.array([getattr(m, "omega", m) for m in modes], dtype=float)
-    n_bar = bose_occupation(omegas, temperature)
+    n_bar = bose_occupation([m.omega for m in modes], temperature)
     diag = np.repeat(2.0 * n_bar + 1.0, 2)
-    return CovarianceMatrix(len(omegas), np.diag(diag))
+    return CovarianceMatrix(len(modes), np.diag(diag))
 
 
 def two_mode_squeezed_covariance(r, phase=0.0):
@@ -274,14 +257,11 @@ class QuadratureSamples:
 
     n_modes: int
     data: np.ndarray
-    pump_state: str = "on"
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 2 or self.data.shape[1] != 2 * self.n_modes:
             raise DimensionMismatchError("samples must have 2 N columns")
-        if self.pump_state not in ("on", "off"):
-            raise ValueError("pump_state must be 'on' or 'off'")
 
     @property
     def n_samples(self):
@@ -302,7 +282,7 @@ class QuadratureSamples:
 
     def rotate(self, angles):
         r = mode_rotation(angles)
-        return QuadratureSamples(self.n_modes, self.data @ r.T, self.pump_state)
+        return QuadratureSamples(self.n_modes, self.data @ r.T)
 
 
 def _psd_root(v):
@@ -317,7 +297,7 @@ def _psd_root(v):
     return (evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]) @ np.swapaxes(evecs, -1, -2)
 
 
-def sample(v, n_samples, seed, pump_state="on"):
+def sample(v, n_samples, seed):
     """Draw multivariate-normal quadrature records from a covariance matrix.
 
     Uses the symmetric eigendecomposition square root (see ``_psd_root``).
@@ -328,7 +308,7 @@ def sample(v, n_samples, seed, pump_state="on"):
     root = _psd_root(v.v)
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((int(n_samples), 2 * v.n_modes)) @ root
-    return QuadratureSamples(v.n_modes, data, pump_state)
+    return QuadratureSamples(v.n_modes, data)
 
 
 def sample_covariance(v, n_rows, seed):
@@ -381,63 +361,47 @@ def covariance_sem(v, n_rows):
     return np.sqrt((d[..., :, None] * d[..., None, :] + v.v**2) / (n_rows - 1.0))
 
 
-def drift_compensation_angle(source, pair):
+def drift_compensation_angle(cov, pair):
     """Common rotation angle maximizing the <I_j I_k> correlation of a pair.
 
     The rotated correlator is harmonic in 2 alpha, so the maximizer is
     alpha = atan2(b, a) / 2 with a = <I_j I_k> - <Q_j Q_k> and
     b = <I_j Q_k> + <Q_j I_k>.
     """
-    v = source.covariance().v if isinstance(source, QuadratureSamples) else source.v
+    v = cov.v
     j, k = pair
     a = v[2 * j, 2 * k] - v[2 * j + 1, 2 * k + 1]
     b = v[2 * j, 2 * k + 1] + v[2 * j + 1, 2 * k]
     return 0.5 * np.arctan2(b, a)
 
 
-def squeezing_stats(on, off, pair, rotate=True, off_reference="single_mode"):
+def squeezing_stats(on, off, pair):
     """Squeezing ratios of a mode pair from pump-on and pump-off covariances.
 
-    ``on`` and ``off`` are CovarianceMatrix objects or QuadratureSamples,
-    which are reduced to their sample covariance first; the model
-    covariance gives the infinite-statistics prediction.
+    ``on`` and ``off`` are CovarianceMatrix objects: sample covariances give
+    the measured ratios, model covariances the infinite-statistics
+    prediction.
 
-    R_e is the ratio of the larger to the smaller standard deviation of the
-    two combinations I_j +- I_k (pump on). R_p compares the squeezed
-    combination against the pump-off reference:
-
-    * ``single_mode``: reference is the rms single-mode pump-off amplitude,
-      so an ideal two-mode squeezed state over vacuum gives sqrt(2) e^-r;
-    * ``difference``: reference is the same +- combination evaluated on the
-      pump-off state, so identical on/off data gives exactly 1.
-
-    When ``rotate`` is set, the drift-compensation rotation that maximizes
-    the pump-on <I_j I_k> correlator is applied to both states first.
+    Both states are first rotated by the drift-compensation angle that
+    maximizes the pump-on <I_j I_k> correlator. R_e is then the ratio of the
+    larger to the smaller standard deviation of the two combinations
+    I_j +- I_k (pump on), and R_p compares the squeezed combination against
+    the rms single-mode pump-off amplitude, so an ideal two-mode squeezed
+    state over vacuum gives sqrt(2) e^-r.
     """
-    if off_reference not in ("single_mode", "difference"):
-        raise ValueError("off_reference must be 'single_mode' or 'difference'")
-    on, off = (x.covariance() if isinstance(x, QuadratureSamples) else x for x in (on, off))
     j, k = pair
-    if rotate:
-        angles = np.zeros(on.n_modes)
-        angles[j] = angles[k] = drift_compensation_angle(on, pair)
-        on = on.rotate(angles)
-        off = off.rotate(angles)
-
-    def combos(v):
-        """Variances of I_j + I_k and I_j - I_k."""
-        diag = v[2 * j, 2 * j] + v[2 * k, 2 * k]
-        return np.array([diag + 2 * v[2 * j, 2 * k], diag - 2 * v[2 * j, 2 * k]])
-
-    combos_on = combos(on.v)
+    angles = np.zeros(on.n_modes)
+    angles[j] = angles[k] = drift_compensation_angle(on, pair)
+    on = on.rotate(angles).v
+    off = off.rotate(angles).v
+    # variances of I_j + I_k and I_j - I_k
+    diag = on[2 * j, 2 * j] + on[2 * k, 2 * k]
+    combos_on = np.array([diag + 2 * on[2 * j, 2 * k], diag - 2 * on[2 * j, 2 * k]])
     low = int(np.argmin(combos_on))
     if combos_on[low] <= 0:
         raise ZeroVarianceError("squeezed combination has zero variance")
     r_e = float(np.sqrt(combos_on.max() / combos_on[low]))
-    if off_reference == "single_mode":
-        ref = (off.v[2 * j, 2 * j] + off.v[2 * k, 2 * k]) / 2.0
-    else:
-        ref = combos(off.v)[low]
+    ref = (off[2 * j, 2 * j] + off[2 * k, 2 * k]) / 2.0
     if ref <= 0:
         raise ZeroVarianceError("pump-off reference has zero variance")
     r_p = float(np.sqrt(combos_on[low] / ref))

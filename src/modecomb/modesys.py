@@ -205,19 +205,6 @@ class ModeSystem:
         if len(set(indices)) != len(indices):
             raise ValueError("mode indices must be unique")
 
-    @property
-    def n_modes(self):
-        return len(self.modes)
-
-    def omegas(self):
-        return np.array([m.omega for m in self.modes])
-
-    def gamma_ext(self):
-        return np.array([m.gamma_ext for m in self.modes])
-
-    def gamma_int(self):
-        return np.array([m.gamma_int for m in self.modes])
-
 
 def effective_couplings(mirror, modes):
     """Second-order participation factors of each mode.

@@ -289,7 +289,7 @@ def _barrier_bracket(arr, sig, h0, lam_min, t_lower, t_width, max_iter):
     return best, t_upper, t_lower, iters
 
 
-def _reconstruct(arr, sigma, t_width, feas_tol, max_iter):
+def _reconstruct(arr, sigma, t_width, max_iter):
     """Results for a (K, 2N, 2N) stack, and the warnings they call for.
 
     Every interval's warnings name it when K > 1.
@@ -323,7 +323,7 @@ def _reconstruct(arr, sigma, t_width, feas_tol, max_iter):
     # objective 0 (so reconstructing twice is idempotent)
     h0 = arr + 1j * symplectic_form(n)
     w, u = np.linalg.eigh(h0)
-    todo = np.flatnonzero(~(w[:, 0] >= -feas_tol))
+    todo = np.flatnonzero(~(w[:, 0] >= -FEAS_TOL))
     v, upper, lower, iters = arr.copy(), np.zeros(k), np.zeros(k), np.zeros(k, dtype=int)
     if todo.size:
         # the rank-1 dual of the lowest eigenvector gives the first lower bound
@@ -364,7 +364,6 @@ def reconstruct_intervals(
     v_meas,
     sigma=None,
     t_width=T_WIDTH,
-    feas_tol=FEAS_TOL,
     max_iter=MAX_ITER,
 ):
     """``reconstruct_physical`` of a stack of K covariances, one result each.
@@ -378,7 +377,7 @@ def reconstruct_intervals(
     arr = np.asarray(
         v_meas.v if isinstance(v_meas, CovarianceMatrix) else v_meas, dtype=float
     )
-    results, messages = _reconstruct(arr, sigma, t_width, feas_tol, max_iter)
+    results, messages = _reconstruct(arr, sigma, t_width, max_iter)
     _warn(messages)
     return results
 
@@ -387,7 +386,6 @@ def reconstruct_physical(
     v_meas,
     sigma=None,
     t_width=T_WIDTH,
-    feas_tol=FEAS_TOL,
     max_iter=MAX_ITER,
 ) -> ReconstructionResult:
     """Smallest-t physical covariance consistent with measured elements.
@@ -423,6 +421,6 @@ def reconstruct_physical(
         raise DimensionMismatchError("covariance must be square with even size")
     if sigma is not None and np.ndim(sigma):
         sigma = np.asarray(sigma, dtype=float)[None]
-    results, messages = _reconstruct(arr[None], sigma, t_width, feas_tol, max_iter)
+    results, messages = _reconstruct(arr[None], sigma, t_width, max_iter)
     _warn(messages)
     return results[0]

@@ -11,7 +11,6 @@ holds for any invertible M of the Bogoliubov form, so output states computed
 from these matrices are automatically physical.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +39,13 @@ class ScatteringPair:
     n_modes: int
     basis: str = "ladder"
 
-    def to_quadrature(self, imag_tol=1e-9):
+    def to_quadrature(self):
         """Return the pair transformed to the interleaved quadrature basis."""
         if self.basis == "quadrature":
             return self
         return ScatteringPair(
-            quadrature_transform(self.s, imag_tol),
-            quadrature_transform(self.s_loss, imag_tol),
+            quadrature_transform(self.s),
+            quadrature_transform(self.s_loss),
             self.n_modes,
             "quadrature",
         )
@@ -147,34 +146,3 @@ def magnitude_db(value, reference=1.0):
     with np.errstate(divide="ignore"):
         return 20.0 * np.log10(abs(value) / reference)
 
-
-def export_db_table(pair, path, reference=(0, 0)):
-    """Write |S| in dB (relative to an explicit reference element) plus phase.
-
-    The reference element and its absolute magnitude appear in every row so
-    the table stays self-describing.
-    """
-    n = pair.n_modes
-    labels = [f"b{j}" for j in range(n)] + [f"bdag{j}" for j in range(n)]
-    r_out, r_in = reference
-    ref_abs = abs(pair.s[r_out, r_in])
-    if ref_abs == 0.0:
-        raise ValueError("reference element has zero magnitude")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["out", "in", "mag_db", "phase_rad", "ref_out", "ref_in", "ref_abs"]
-        )
-        for i in range(2 * n):
-            for j in range(2 * n):
-                writer.writerow(
-                    [
-                        labels[i],
-                        labels[j],
-                        repr(float(magnitude_db(pair.s[i, j], ref_abs))),
-                        repr(float(np.angle(pair.s[i, j]))),
-                        labels[r_out],
-                        labels[r_in],
-                        repr(float(ref_abs)),
-                    ]
-                )

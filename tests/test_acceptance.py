@@ -159,8 +159,8 @@ def test_criterion_03_tms_entanglement_chain():
     # sampled squeezing ratio against the network prediction
     n = 1_000_000
     on = sample(v, n, seed=20260814)
-    off = sample(CovarianceMatrix.vacuum(2), n, seed=20260815, pump_state="off")
-    r_e, _ = squeezing_stats(on, off, (0, 1))
+    off = sample(CovarianceMatrix.vacuum(2), n, seed=20260815)
+    r_e, _ = squeezing_stats(on.covariance(), off.covariance(), (0, 1))
     se = r_e / np.sqrt(n)
     assert abs(r_e - np.exp(2.0 * r)) < 3.0 * se
 
@@ -203,7 +203,7 @@ def test_criterion_05_ppt_svl_sign_consistency():
         v += np.diag(np.repeat(rng.uniform(0.0, 2.0, 2), 2))
         rot = mode_rotation(rng.uniform(0.0, np.pi, 2))
         v = CovarianceMatrix(2, rot @ v @ rot.T)
-        assert v.is_physical(1e-9)
+        assert v.min_physicality_eigenvalue() >= -1e-9
         lam = ppt_min_eigenvalue(v, [1])
         e = svl_test(v, bp).value
         if abs(e) < 1e-6:

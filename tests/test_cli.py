@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import modecomb
-from modecomb import CalibrationStore
-from modecomb.cli import load_config, main, run_scenario, write_demo_config
+from modecomb import CalibrationStore, CovarianceMatrix
+from modecomb.cli import _write_covariance, load_config, main, run_scenario, write_demo_config
 from modecomb.errors import ConfigError
 
 MIRROR = """\
@@ -311,6 +311,47 @@ def test_zero_scattering_elements_read_minus_inf_in_both_tables(tmp_path, monkey
             ref_db + float(row["mag_db"]), rel=1e-12), key
 
 
+# a lossless pump-coupled pair; the second pump matches no pair and only
+# sets the comb spacing
+PAIR_SCATTERING = """\
+pipeline: scattering
+output_dir: @OUT@
+seed: 1
+""" + MIRROR + """\
+  modes:
+    - {index: 0, freq_hz: 3.8245e9, loss_ext_hz: 40.0e3, loss_int_hz: 0.0}
+    - {index: 1, freq_hz: 3.8375e9, loss_ext_hz: 40.0e3, loss_int_hz: 0.0}
+pumps:
+  - {freq_hz: 3.8310e9, epsilon_hz: 12.0e3}
+  - {freq_hz: 3.8440e9, epsilon_hz: 12.0e3}
+scattering:
+  spacing_start_hz: 12.9e6
+  spacing_stop_hz: 13.1e6
+  spacing_count: 3
+"""
+
+
+def test_scattering_matched_db_table(tmp_path):
+    report = run_scenario(write_config(tmp_path, PAIR_SCATTERING))
+    assert report.metrics["n_matches_nominal"] == 1
+    with open(os.path.join(report.output_dir, "scattering_matched.csv"), newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["out", "in", "mag_db", "phase_rad", "ref_out", "ref_in", "ref_abs"]
+    assert len(rows) == 1 + 16
+    table = {(r[0], r[1]): float(r[2]) for r in rows[1:]}
+    assert table[("b0", "b0")] == pytest.approx(0.0, abs=1e-12)
+    # the same network built from the library, probed in the pump frame
+    modes = [modecomb.ModeSpec.from_hz(j, f, 40.0e3, 0.0)
+             for j, f in enumerate((3.8245e9, 3.8375e9))]
+    pumps = [modecomb.PumpTone.from_hz(3.8310e9), modecomb.PumpTone.from_hz(3.8440e9)]
+    couplings = {(0, 1): 2.0 * np.pi * 12.0e3}
+    probes, _ = modecomb.assign_probe_frequencies(
+        modes, modecomb.match_four_wave(modes, pumps), couplings)
+    s = modecomb.network(modes, couplings, probes).s
+    expected = 20.0 * np.log10(abs(s[0, 3]) / abs(s[0, 0]))
+    assert table[("b0", "bdag1")] == pytest.approx(expected, rel=1e-9)
+
+
 def test_zero_reference_element_exits_two_before_any_artifact(tmp_path, capsys):
     # no pump couples b0 to b1, so S[0, 1] is exactly zero
     path = write_config(tmp_path, SMALL_SCATTERING + "  ref_in: 1\n")
@@ -368,6 +409,28 @@ def test_report_digest_matches_config(tmp_path):
     expected = hashlib.sha256(path.read_bytes()).hexdigest()
     assert report.config_digest == expected
     assert read_report(report.output_dir)["config"]["sha256"] == expected
+
+
+def test_report_does_not_depend_on_the_config_path(tmp_path, monkeypatch):
+    path = write_config(tmp_path, SMALL_SCATTERING)
+    monkeypatch.chdir(tmp_path)
+    written = []
+    for config in (path.name, str(path)):  # relative, then absolute
+        run_scenario(config)
+        written.append((tmp_path / "out" / "report.json").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_covariance_table_round_trips(tmp_path):
+    a = np.random.default_rng(5).standard_normal((6, 6))
+    v = CovarianceMatrix(3, a @ a.T)
+    assert _write_covariance(tmp_path, "cov.csv", v) == "cov.csv"
+    with open(tmp_path / "cov.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    labels = ["I0", "Q0", "I1", "Q1", "I2", "Q2"]
+    assert rows[0] == ["row"] + labels
+    assert [r[0] for r in rows[1:]] == labels
+    assert np.array_equal([[float(x) for x in r[1:]] for r in rows[1:]], v.v)
 
 
 def test_out_root_env_redirects_relative_dirs(tmp_path, monkeypatch):

@@ -52,9 +52,9 @@ def test_mode_system_ordering():
     mirror = MirrorSpec.from_hz(8.0e9, 1.6e6)
     good = [ModeSpec.from_hz(j, 3.8e9 + j * 13e6, 20e3, 20e3) for j in range(3)]
     sys_ = ModeSystem(tuple(good), mirror)
-    assert sys_.n_modes == 3
-    assert np.all(np.diff(sys_.omegas()) > 0)
-    assert sys_.gamma_ext() == pytest.approx(np.full(3, TWO_PI * 20e3))
+    assert len(sys_.modes) == 3
+    assert np.all(np.diff([m.omega for m in sys_.modes]) > 0)
+    assert [m.gamma_ext for m in sys_.modes] == pytest.approx(np.full(3, TWO_PI * 20e3))
     with pytest.raises(ValueError):
         ModeSystem(tuple(reversed(good)), mirror)
     dup = [good[0], ModeSpec.from_hz(0, 3.9e9, 20e3, 20e3)]

@@ -1,7 +1,5 @@
 """Input-output scattering matrices and their conservation identities."""
 
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +19,7 @@ from modecomb import (
     symplectic_residual,
     thermal_covariance,
 )
+from test_coupling_graph import structure_residual
 
 TWO_PI = 2.0 * np.pi
 
@@ -106,22 +105,6 @@ def test_loss_rate_consistency_check():
     assert pseudo_unitarity_residual(pair) < 1e-10
 
 
-def test_export_db_table(tmp_path):
-    pair = two_mode_network(0.6)
-    path = tmp_path / "s.csv"
-    from modecomb import export_db_table
-
-    export_db_table(pair, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["out", "in", "mag_db", "phase_rad", "ref_out", "ref_in", "ref_abs"]
-    assert len(rows) == 1 + 16
-    table = {(r[0], r[1]): float(r[2]) for r in rows[1:]}
-    assert table[("b0", "b0")] == pytest.approx(0.0, abs=1e-12)
-    expected = 20.0 * np.log10(abs(pair.s[0, 3]) / abs(pair.s[0, 0]))
-    assert table[("b0", "bdag1")] == pytest.approx(expected, rel=1e-9)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 10_000), st.booleans())
 def test_random_networks_conserve_commutators(n, seed, lossless):
@@ -180,7 +163,7 @@ def test_stacked_solve_matches_single_points(seed):
 
     cm = build_coupling_matrix(modes, probe_omegas=probes, couplings=coup)
     assert cm.m.shape == (9, 2 * n, 2 * n)
-    assert cm.structure_residual() < 1e-12
+    assert structure_residual(cm) < 1e-12
     stacked = scattering_matrices(cm, ge, gi).to_quadrature()
     v_stacked = output_covariance(stacked, v_th, v_loss=v_th).v
     assert v_stacked.shape == (9, 2 * n, 2 * n)
