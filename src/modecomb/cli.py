@@ -12,7 +12,7 @@ Pipelines
     records alternate in chopped blocks; each detuning reports the raw
     and pump-referenced squeezing ratios of their pooled sample
     covariances and, for selected detunings, background-subtracted 2D
-    quadrature histograms of records drawn for them.
+    quadrature histograms of records drawn for them, added up block by block.
 ``multimode``
     Repeated measurement intervals of the full comb output.  Every
     interval's sample covariance is drawn, de-embedded through the
@@ -70,7 +70,6 @@ from .entanglement import (
 from .errors import ConfigError, ModecombError, NumericalError, UnstablePumpError
 from .gaussian_state import (
     CovarianceMatrix,
-    QuadratureSamples,
     amplify,
     covariance_sem,
     deamplify,
@@ -241,18 +240,12 @@ def _run_twomode(scfg, out_dir):
             for i in range(scfg.interval_count)])
 
     def records(d_idx, v_on, v_off, phis):
-        """Pooled pump-on and pump-off records of the chopped blocks."""
-        parts = {"on": [], "off": []}
+        """(is_on, records) of each chopped block, drawn one at a time."""
         for i, phi in enumerate(phis):
             for b in range(blocks):
-                state = "on" if b % 2 == 0 else "off"
-                smp = sample(v_on if state == "on" else v_off, scfg.n_samples,
+                smp = sample(v_off if b % 2 else v_on, scfg.n_samples,
                              [scfg.seed, 0, d_idx, i, b])
-                if phi:
-                    smp = smp.rotate(np.full(n, phi))
-                parts[state].append(smp.data)
-        return (QuadratureSamples(n, np.vstack(parts[state]))
-                for state in ("on", "off"))
+                yield b % 2 == 0, smp.rotate(np.full(n, phi)) if phi else smp
 
     def one_detuning(d_idx):
         v_on = CovarianceMatrix(n, v_on_all[d_idx])
@@ -268,7 +261,7 @@ def _run_twomode(scfg, out_dir):
         r_e_model, r_p_model = squeezing_stats(v_on, v_off, pair)
         hists = None
         if d_idx in sec["histogram_detunings"]:
-            hists = histogram2d_subtracted(*records(d_idx, v_on, v_off, phis),
+            hists = histogram2d_subtracted(records(d_idx, v_on, v_off, phis),
                                            pair, bin_width=sec["histogram_bin"],
                                            span=sec["histogram_span"])
         return {"r_e": r_e, "r_p": r_p, "r_e_model": r_e_model,
@@ -839,8 +832,11 @@ def write_demo_config(pipeline, directory="."):
         raise ConfigError(f"no demo scenario for pipeline {pipeline!r}; "
                           f"choose from {sorted(_DEMO_CONFIGS)}")
     path = os.path.join(directory, f"demo-{pipeline}.cfg")
-    with open(path, "w") as fh:
-        fh.write(_DEMO_CONFIGS[pipeline])
+    try:
+        with open(path, "w") as fh:
+            fh.write(_DEMO_CONFIGS[pipeline])
+    except OSError as exc:
+        raise ConfigError(f"cannot write config file {path!r}: {exc}") from exc
     return path
 
 

@@ -408,24 +408,36 @@ def squeezing_stats(on, off, pair):
     return r_e, r_p
 
 
-def histogram2d_subtracted(on, off, pair, bin_width=0.25, span=6.0):
+def histogram2d_subtracted(blocks, pair, bin_width=0.25, span=6.0):
     """Binned pump-on, pump-off, and subtracted counts for a mode pair.
 
-    Returns a dict keyed by axis pair label ("I+I-", "Q+Q-", "I+Q-") with
-    (edges, counts_on, counts_off) entries; the subtraction is counts_on -
-    counts_off per bin. ``span`` is the half range, bins are uniform.
+    ``blocks`` is an iterable of (is_on, QuadratureSamples); each block is
+    binned as it arrives and only its counts are kept. Returns a dict keyed
+    by axis pair label ("I+I-", "Q+Q-", "I+Q-") with (edges, counts_on,
+    counts_off) entries, float counts binned as ``np.histogram2d`` bins
+    them; the subtraction is counts_on - counts_off per bin. ``span`` is the
+    half range, bins are uniform.
     """
     j, k = pair
     n_bins = max(1, int(round(2.0 * span / bin_width)))
     edges = np.linspace(-span, span, n_bins + 1)
-    axes = {
-        "I+I-": (2 * j, 2 * k),
-        "Q+Q-": (2 * j + 1, 2 * k + 1),
-        "I+Q-": (2 * j, 2 * k + 1),
-    }
-    out = {}
-    for label, (a, b) in axes.items():
-        h_on, _, _ = np.histogram2d(on.data[:, a], on.data[:, b], bins=[edges, edges])
-        h_off, _, _ = np.histogram2d(off.data[:, a], off.data[:, b], bins=[edges, edges])
-        out[label] = (edges, h_on, h_off)
-    return out
+    axes = {"I+I-": (2 * j, 2 * k), "Q+Q-": (2 * j + 1, 2 * k + 1), "I+Q-": (2 * j, 2 * k + 1)}
+    cols = sorted({c for ab in axes.values() for c in ab})
+    m = n_bins + 1  # bin n_bins of each axis takes the values outside the edges
+    counts = np.zeros((2, len(axes), m * m))
+    for is_on, block in blocks:
+        x = block.data[:, cols].T
+        inside = (x >= -span) & (x <= span)  # False for NaN
+        x = np.where(inside, x, -span)
+        # floor((x + span) n / 2 span) is at most one bin off, so one step
+        # against the neighbouring edges fixes it; the last edge is in the last bin
+        idx = np.minimum(((x + span) * (n_bins / (2.0 * span))).astype(np.intp), n_bins - 1)
+        idx -= x < edges[idx]
+        idx += (x >= edges[idx + 1]) & (idx < n_bins - 1)
+        idx[~inside] = n_bins
+        col_bins = dict(zip(cols, idx))
+        for t, (a, b) in enumerate(axes.values()):
+            counts[0 if is_on else 1, t] += np.bincount(col_bins[a] * m + col_bins[b],
+                                                        minlength=m * m)
+    h = counts.reshape(2, len(axes), m, m)[..., :n_bins, :n_bins]
+    return {label: (edges, h[0, t], h[1, t]) for t, label in enumerate(axes)}

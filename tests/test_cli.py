@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import modecomb
-from modecomb import CalibrationStore, CovarianceMatrix
+from modecomb import CalibrationStore, CovarianceMatrix, sample
 from modecomb.cli import _write_covariance, load_config, main, run_scenario, write_demo_config
 from modecomb.errors import ConfigError
 
@@ -212,6 +212,43 @@ def test_twomode_drift_phase_run(tmp_path):
     m = report.metrics
     assert all(np.isfinite(m["r_e"])) and min(m["r_e"]) >= 1.0
     assert "histograms_d01.csv" in report.files
+
+
+def test_twomode_histograms_match_pooled_records(tmp_path):
+    # reference: pool every chopped block's draws, then one histogram2d
+    cfg = SMALL_TWOMODE.replace("  n_samples: 2000\n  interval_count: 2\n",
+                                "  n_samples: 5000\n  interval_count: 2\n"
+                                "  drift_phase: true\n")
+    report = run_scenario(write_config(tmp_path, cfg))
+    out = report.output_dir
+
+    def model(name):
+        with open(os.path.join(out, name), newline="") as fh:
+            return CovarianceMatrix(2, [[float(x) for x in row[1:]]
+                                        for row in list(csv.reader(fh))[1:]])
+
+    # the model covariances are written for the middle detuning, index 1
+    v = {True: model("covariance_on_model.csv"), False: model("covariance_off_model.csv")}
+    seed, d_idx, blocks = 11, 1, 4  # 2 Hz chopping over 2 s intervals
+    pooled = {True: [], False: []}
+    for i in range(2):
+        phi = np.random.default_rng([seed, 1, d_idx, i]).uniform(0.0, 2.0 * np.pi)
+        for b in range(blocks):
+            smp = sample(v[b % 2 == 0], 5000, [seed, 0, d_idx, i, b])
+            pooled[b % 2 == 0].append(smp.rotate(np.full(2, phi)).data)
+    edges = np.linspace(-6.0, 6.0, 49)
+    want = []
+    for axes, (a, b) in sorted({"I+I-": (0, 2), "Q+Q-": (1, 3), "I+Q-": (0, 3)}.items()):
+        on, off = (np.histogram2d(x[:, a], x[:, b], bins=[edges, edges])[0]
+                   for x in (np.vstack(pooled[True]), np.vstack(pooled[False])))
+        want += [[axes, str(r), str(c)] + [repr(float(x)) for x in (
+                     edges[r], edges[c], on[r, c], off[r, c], on[r, c] - off[r, c])]
+                 for r, c in np.ndindex(on.shape)]
+    with open(os.path.join(out, "histograms_d01.csv"), newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["axes", "row", "col", "x_low", "y_low", "count_on",
+                       "count_off", "difference"]
+    assert rows[1:] == want
 
 
 def test_workers_key_is_refused(tmp_path, capsys):
@@ -497,6 +534,15 @@ def test_missing_seed_rejected_for_sampling_pipelines(tmp_path):
 def test_write_demo_config_rejects_unknown(tmp_path):
     with pytest.raises(ConfigError):
         write_demo_config("nonsense", str(tmp_path))
+
+
+def test_demo_into_missing_directory_exits_two(tmp_path, capsys):
+    missing = tmp_path / "missing" / "dir"
+    assert main(["demo", "twomode", "--dir", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write config file")
+    assert "Traceback" not in err
+    assert not missing.exists()
 
 
 def test_python_dash_m_entry_point():

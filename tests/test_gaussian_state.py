@@ -1,5 +1,7 @@
 """Covariance matrices, the amplifier chain, sampling, and squeezing ratios."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.constants import hbar as HBAR
@@ -339,11 +341,13 @@ def test_histogram2d_subtracted():
     v = two_mode_squeezed_covariance(0.4)
     on = sample(v, 20_000, seed=3)
     off = sample(CovarianceMatrix.vacuum(2), 20_000, seed=4)
-    hists = histogram2d_subtracted(on, off, (0, 1), bin_width=0.5, span=6.0)
+    hists = histogram2d_subtracted(iter([(True, on), (False, off)]), (0, 1),
+                                   bin_width=0.5, span=6.0)
     assert set(hists) == {"I+I-", "Q+Q-", "I+Q-"}
     edges, h_on, h_off = hists["I+I-"]
     assert edges.shape == (25,)
     assert h_on.shape == (24, 24)
+    assert h_on.dtype == float
     assert h_on.sum() <= 20_000
     assert h_on.sum() > 19_000
     # pump-on I-I correlations tilt the histogram along the diagonal
@@ -351,3 +355,36 @@ def test_histogram2d_subtracted():
     diag_on = sum(h_on[i, i] for i in idx)
     diag_off = sum(h_off[i, i] for i in idx)
     assert diag_on > diag_off
+
+
+@pytest.mark.parametrize("bin_width, span", [(0.25, 6.0), (0.35, 6.0), (0.5, 2.0), (0.3, 1.7)])
+def test_histogram2d_subtracted_matches_pooled_histogram2d(bin_width, span):
+    n_bins = max(1, int(round(2.0 * span / bin_width)))
+    edges = np.linspace(-span, span, n_bins + 1)
+    # every edge, its float neighbours, +-span, beyond span, signed zeros and
+    # non-finite values, which are dropped without a warning
+    hard = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                           np.nextafter(edges, np.inf),
+                           [span, -span, 1.5 * span, -1.5 * span, 0.0, -0.0,
+                            np.nan, np.inf, -np.inf]])
+    rng = np.random.default_rng(17)
+    blocks = []
+    for b in range(6):
+        data = rng.normal(scale=span / 2, size=(hard.size * 3, 4))
+        # the hard values sit in every column, paired with each other
+        data[: hard.size] = np.column_stack([hard, rng.permutation(hard),
+                                             hard[::-1], rng.permutation(hard)])
+        blocks.append((b % 3 != 2, QuadratureSamples(2, data)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hists = histogram2d_subtracted(iter(blocks), (0, 1),
+                                       bin_width=bin_width, span=span)
+    cols = {"I+I-": (0, 2), "Q+Q-": (1, 3), "I+Q-": (0, 3)}
+    for label, (a, b) in cols.items():
+        got_edges, h_on, h_off = hists[label]
+        assert np.array_equal(got_edges, edges)
+        for got, is_on in ((h_on, True), (h_off, False)):
+            pooled = np.vstack([s.data for on, s in blocks if on == is_on])
+            want, _, _ = np.histogram2d(pooled[:, a], pooled[:, b], bins=[edges, edges])
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), label
