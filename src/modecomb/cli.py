@@ -138,24 +138,27 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_csv(out_dir, name, header, rows):
-    """Write a CSV artifact and return its name; strings and ints are
-    written as they are, every other cell as ``repr(float(x))``."""
+def _write_csv(out_dir, name, header, blocks):
+    """Write a CSV artifact and return its name. ``blocks`` yields groups of
+    rows, each as a sequence of equal-length columns. A numpy array column is
+    written as ``repr(float(x))`` per element, numpy integers and float32
+    included; any other column holds str, int or float cells, written as they
+    are (a float as its repr)."""
     with open(os.path.join(out_dir, name), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows([x if isinstance(x, (str, int)) else repr(float(x)) for x in row]
-                    for row in rows)
+        for columns in blocks:
+            w.writerows(zip(*(c.astype(float).tolist() if isinstance(c, np.ndarray)
+                              else c for c in columns)))
     return name
 
 
 def _write_covariance(out_dir, name, v):
     """Write one covariance matrix as a CSV table with I/Q labels; a stack
     is refused before the file is opened."""
-    rows = v._single(name)
+    matrix = v._single(name)
     labels = [f"{q}{j}" for j in range(v.n_modes) for q in "IQ"]
-    return _write_csv(out_dir, name, ["row"] + labels,
-                      ([lab, *row] for lab, row in zip(labels, rows)))
+    return _write_csv(out_dir, name, ["row"] + labels, [(labels, *matrix.T)])
 
 
 def _couplings_for(scfg, pumps=None, tolerance=None):
@@ -272,18 +275,21 @@ def _run_twomode(scfg, out_dir):
 
     keys = ("r_e", "r_p", "r_e_model", "r_p_model")
     files = [_write_csv(out_dir, "squeezing_vs_detuning.csv", ("detuning_hz",) + keys,
-                        ([d] + [row[key] for key in keys]
-                         for d, row in zip(detunings, rows)))]
+                        [(detunings, *([row[key] for row in rows] for key in keys))])]
+
+    def histogram_columns(hists):
+        # one block per axis pair, so only one pair's rows are built at a time
+        for axes, (edges, h_on, h_off) in sorted(hists.items()):
+            r, c = np.indices(h_on.shape).reshape(2, -1)
+            yield ([axes] * r.size, r.tolist(), c.tolist(), edges[r], edges[c],
+                   h_on.ravel(), h_off.ravel(), (h_on - h_off).ravel())
 
     for d_idx in sec["histogram_detunings"]:
         files.append(_write_csv(
             out_dir, f"histograms_d{d_idx:02d}.csv",
             ["axes", "row", "col", "x_low", "y_low", "count_on", "count_off",
              "difference"],
-            ([axes, r, c, edges[r], edges[c], h_on[r, c], h_off[r, c],
-              h_on[r, c] - h_off[r, c]]
-             for axes, (edges, h_on, h_off) in sorted(rows[d_idx]["hists"].items())
-             for r, c in np.ndindex(h_on.shape))))
+            histogram_columns(rows[d_idx]["hists"])))
 
     mid = len(detunings) // 2
     files += [_write_covariance(out_dir, name, rows[mid][key])
@@ -462,7 +468,7 @@ def _run_calibration(scfg, out_dir):
                                  planck_fit.added_photons, freq,
                                  bandwidth=bandwidth)
         tables.append(("planck_fit.csv", ["temp_k", "power", "power_model"],
-                       zip(temps, powers, model)))
+                       [(temps, powers, model)]))
         metrics["planck"] = {
             "gain": planck_fit.gain,
             "gain_db": 10.0 * math.log10(planck_fit.gain),
@@ -494,7 +500,7 @@ def _run_calibration(scfg, out_dir):
         model = cal.c_lineshape(deltas, corr_fit.gain, corr_fit.eps,
                                 pair_modes, scfg.temperature)
         tables.append(("correlation_fit.csv", ["detuning_hz", "c", "c_model"],
-                       zip(deltas / TWO_PI, c_meas, model)))
+                       [(deltas / TWO_PI, c_meas, model)]))
         metrics["correlation"] = {
             "gain": corr_fit.gain,
             "gain_db": 10.0 * math.log10(corr_fit.gain),
@@ -581,29 +587,30 @@ def _run_scattering(scfg, out_dir):
             f"is zero at the nominal spacing and cannot be the dB reference")
 
     labels = [f"b{j}" for j in range(n)] + [f"bdag{j}" for j in range(n)]
+    out, into = (g.ravel().tolist() for g in np.meshgrid(labels, labels, indexing="ij"))
+    s_all = np.stack([net.s for _, net in results])
+    n_matches = [m for m, _ in results]
     files = [_write_csv(
         out_dir, "scattering_sweep.csv",
         ["spacing_hz", "n_matches", "out", "in", "mag_db", "phase_rad"],
-        ([s, n_match, labels[r], labels[c], magnitude_db(net.s[r, c]),
-          np.angle(net.s[r, c])]
-         for s, (n_match, net) in zip(spacings, results)
-         for r, c in np.ndindex(net.s.shape)))]
+        [(np.repeat(spacings, len(out)), np.repeat(n_matches, len(out)).tolist(),
+          out * len(results), into * len(results),
+          magnitude_db(s_all).ravel(), np.angle(s_all).ravel())])]
     # |S| in dB against the reference element, which every row names
     files.append(_write_csv(
         out_dir, "scattering_matched.csv",
         ["out", "in", "mag_db", "phase_rad", "ref_out", "ref_in", "ref_abs"],
-        ([labels[r], labels[c], magnitude_db(ladder.s[r, c], ref_abs),
-          np.angle(ladder.s[r, c]), labels[reference[0]], labels[reference[1]], ref_abs]
-         for r, c in np.ndindex(ladder.s.shape))))
+        [(out, into, magnitude_db(ladder.s, ref_abs).ravel(), np.angle(ladder.s).ravel(),
+          [labels[reference[0]]] * len(out), [labels[reference[1]]] * len(out),
+          np.full(len(out), ref_abs))]))
 
-    gains_db = [float(magnitude_db(np.abs(np.diagonal(net.s)).max()))
-                for _, net in results]
+    gains_db = magnitude_db(np.abs(np.diagonal(s_all, axis1=1, axis2=2)).max(axis=1))
     metrics = {
         "nominal_spacing_hz": nominal,
         "spacings_hz": [float(s) for s in spacings],
-        "n_matches": [int(m) for m, _ in results],
-        "max_reflection_gain_db": [float(g) for g in gains_db],
-        "n_matches_nominal": int(results[nominal_idx][0]),
+        "n_matches": n_matches,
+        "max_reflection_gain_db": gains_db.tolist(),
+        "n_matches_nominal": n_matches[nominal_idx],
         "peak_gain_db": float(np.max(gains_db)),
     }
     return metrics, files

@@ -142,7 +142,9 @@ def symplectic_residual(s_quadrature):
 
 
 def magnitude_db(value, reference=1.0):
-    """20 log10(|value| / reference); an exactly zero element is -inf dB."""
+    """20 log10(|value| / reference) per element; an exact zero is -inf dB.
+    |value| is hypot(re, im), rounded as abs(complex) rounds it (np.abs on a
+    complex array can differ in the last bit)."""
     with np.errstate(divide="ignore"):
-        return 20.0 * np.log10(abs(value) / reference)
+        return 20.0 * np.log10(np.hypot(value.real, value.imag) / reference)
 

@@ -12,8 +12,16 @@ import pytest
 
 import modecomb
 from modecomb import CalibrationStore, CovarianceMatrix, sample
-from modecomb.cli import _write_covariance, load_config, main, run_scenario, write_demo_config
+from modecomb.cli import (
+    _write_covariance,
+    _write_csv,
+    load_config,
+    main,
+    run_scenario,
+    write_demo_config,
+)
 from modecomb.errors import ConfigError
+from modecomb.scattering import magnitude_db
 
 MIRROR = """\
 system:
@@ -346,6 +354,69 @@ def test_zero_scattering_elements_read_minus_inf_in_both_tables(tmp_path, monkey
     for key, row in matched.items():
         assert float(at_nominal[key]["mag_db"]) == pytest.approx(
             ref_db + float(row["mag_db"]), rel=1e-12), key
+
+
+def test_scattering_tables_match_per_element_calls(tmp_path, monkeypatch):
+    # reference: one magnitude_db and np.angle call per matrix element
+    monkeypatch.setenv("MODECOMB_OUT_ROOT", str(tmp_path))
+    nets = []
+
+    def recording_network(*args, **kwargs):
+        nets.append(network_call(*args, **kwargs))
+        return nets[-1]
+
+    network_call = modecomb.cli._network
+    monkeypatch.setattr(modecomb.cli, "_network", recording_network)
+    path = tmp_path / "demo-scattering.cfg"
+    write_demo_config("scattering", str(tmp_path))
+    path.write_text(path.read_text().replace("  ref_out: 0\n  ref_in: 0\n",
+                                             "  ref_out: 2\n  ref_in: 2\n"))
+    report = run_scenario(path)
+    m = report.metrics
+    assert len(nets) == len(m["spacings_hz"]) == 25
+    labels = ["b0", "b1", "b2", "b3", "bdag0", "bdag1", "bdag2", "bdag3"]
+
+    def cell(x):
+        return repr(float(x))
+
+    want_sweep = [[cell(s), str(n_match), labels[r], labels[c],
+                   cell(magnitude_db(net.s[r, c])), cell(np.angle(net.s[r, c]))]
+                  for s, n_match, net in zip(m["spacings_hz"], m["n_matches"], nets)
+                  for r, c in np.ndindex(net.s.shape)]
+    ladder = nets[int(np.argmin(np.abs(np.asarray(m["spacings_hz"])
+                                       - m["nominal_spacing_hz"])))]
+    ref_abs = abs(ladder.s[2, 2])
+    want_matched = [[labels[r], labels[c], cell(magnitude_db(ladder.s[r, c], ref_abs)),
+                     cell(np.angle(ladder.s[r, c])), "b2", "b2", cell(ref_abs)]
+                    for r, c in np.ndindex(ladder.s.shape)]
+    assert any(row[2] == "-inf" for row in want_matched)
+    for name, want in (("scattering_sweep.csv", want_sweep),
+                       ("scattering_matched.csv", want_matched)):
+        with open(os.path.join(report.output_dir, name), newline="") as fh:
+            assert list(csv.reader(fh))[1:] == want, name
+
+
+def test_write_csv_cell_rule(tmp_path):
+    # a numpy array column is written as repr(float(x)); a list column as csv
+    # writes str, int and float, which for np.float64 is the same repr
+    floats = [0.1, 3.0, 0.0, -0.0, np.inf, -np.inf, np.nan, 1e16, 1e-5]
+    _write_csv(tmp_path, "cells.csv", ["s", "i", "f", "f64", "a64", "ai", "a32"], [
+        (["a", "b,c"], [3, -2], floats[:2], [np.float64(0.1), np.float64(-0.0)],
+         np.array([1e16, np.nan]), np.array([3, -2]), np.array([0.1, 3.0], np.float32)),
+        (["x"] * 7, [0] * 7, floats[2:], [np.float64(x) for x in floats[2:]],
+         np.array(floats[2:]), np.arange(7, dtype=np.int32), np.array(floats[2:], np.float32)),
+    ])
+    assert (tmp_path / "cells.csv").read_bytes() == (
+        b"s,i,f,f64,a64,ai,a32\r\n"
+        b"a,3,0.1,0.1,1e+16,3.0,0.10000000149011612\r\n"
+        b'"b,c",-2,3.0,-0.0,nan,-2.0,3.0\r\n'
+        b"x,0,0.0,0.0,0.0,0.0,0.0\r\n"
+        b"x,0,-0.0,-0.0,-0.0,1.0,-0.0\r\n"
+        b"x,0,inf,inf,inf,2.0,inf\r\n"
+        b"x,0,-inf,-inf,-inf,3.0,-inf\r\n"
+        b"x,0,nan,nan,nan,4.0,nan\r\n"
+        b"x,0,1e+16,1e+16,1e+16,5.0,1.0000000272564224e+16\r\n"
+        b"x,0,1e-05,1e-05,1e-05,6.0,9.999999747378752e-06\r\n")
 
 
 # a lossless pump-coupled pair; the second pump matches no pair and only

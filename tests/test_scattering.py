@@ -1,5 +1,7 @@
 """Input-output scattering matrices and their conservation identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from modecomb import (
     symplectic_residual,
     thermal_covariance,
 )
+from modecomb.scattering import magnitude_db
 from test_coupling_graph import structure_residual
 
 TWO_PI = 2.0 * np.pi
@@ -225,3 +228,18 @@ def test_unstable_stack_refused_before_any_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", no_solve)
     with pytest.raises(UnstablePumpError):
         scattering_matrices(cm, ge, gi)
+
+
+def test_magnitude_db_on_arrays_matches_scalar_calls_bit_for_bit():
+    # np.abs on a complex array can round |z| differently from abs(complex)
+    rng = np.random.default_rng(3)
+    z = 10.0 ** rng.uniform(-8.0, 8.0, 5000) * np.exp(1j * rng.uniform(-np.pi, np.pi, 5000))
+    z[17] = 0.0
+    for value, reference in ((z, 1.0), (z, 0.37), (z.real, 2.5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = magnitude_db(value, reference)
+        want = [20.0 * np.log10(abs(x) / reference) if x != 0 else -np.inf for x in value]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert got.tobytes() == np.array([magnitude_db(x, reference) for x in value]).tobytes()
+        assert got[17] == -np.inf
