@@ -361,6 +361,14 @@ def covariance_sem(v, n_rows):
     return np.sqrt((d[..., :, None] * d[..., None, :] + v.v**2) / (n_rows - 1.0))
 
 
+def _mode_pair(pair, n_modes):
+    """``pair`` as (j, k); DimensionMismatchError unless two distinct modes of n_modes."""
+    j, k = pair
+    if not (0 <= j < n_modes and 0 <= k < n_modes) or j == k:
+        raise DimensionMismatchError(f"pair {pair!r} is not two distinct modes of {n_modes}")
+    return j, k
+
+
 def drift_compensation_angle(cov, pair):
     """Common rotation angle maximizing the <I_j I_k> correlation of a pair.
 
@@ -369,7 +377,7 @@ def drift_compensation_angle(cov, pair):
     b = <I_j Q_k> + <Q_j I_k>.
     """
     v = cov.v
-    j, k = pair
+    j, k = _mode_pair(pair, cov.n_modes)
     a = v[2 * j, 2 * k] - v[2 * j + 1, 2 * k + 1]
     b = v[2 * j, 2 * k + 1] + v[2 * j + 1, 2 * k]
     return 0.5 * np.arctan2(b, a)
@@ -389,7 +397,7 @@ def squeezing_stats(on, off, pair):
     the rms single-mode pump-off amplitude, so an ideal two-mode squeezed
     state over vacuum gives sqrt(2) e^-r.
     """
-    j, k = pair
+    j, k = _mode_pair(pair, on.n_modes)
     angles = np.zeros(on.n_modes)
     angles[j] = angles[k] = drift_compensation_angle(on, pair)
     on = on.rotate(angles).v
@@ -411,33 +419,32 @@ def squeezing_stats(on, off, pair):
 def histogram2d_subtracted(blocks, pair, bin_width=0.25, span=6.0):
     """Binned pump-on, pump-off, and subtracted counts for a mode pair.
 
-    ``blocks`` is an iterable of (is_on, QuadratureSamples); each block is
-    binned as it arrives and only its counts are kept. Returns a dict keyed
-    by axis pair label ("I+I-", "Q+Q-", "I+Q-") with (edges, counts_on,
-    counts_off) entries, float counts binned as ``np.histogram2d`` bins
-    them; the subtraction is counts_on - counts_off per bin. ``span`` is the
-    half range, bins are uniform.
+    ``blocks`` is an iterable of (is_on, QuadratureSamples); each is binned
+    as it arrives and then dropped. Returns {label: (edges, counts_on,
+    counts_off)} for the axis pairs "I+I-", "Q+Q-" and "I+Q-"; subtract per
+    bin. A row enters an axis pair's float counts only if both of its values
+    lie in [-span, span] (NaN and +-inf never do), and only those rows are
+    binned, as ``np.histogram2d`` bins them. Bins are uniform.
     """
     j, k = pair
     n_bins = max(1, int(round(2.0 * span / bin_width)))
     edges = np.linspace(-span, span, n_bins + 1)
+    lower = np.append(edges[:-1], np.inf)  # +inf: an estimate of n_bins steps back
+    upper = np.append(edges[1:-1], np.inf)  # +inf: the last bin keeps the last edge
     axes = {"I+I-": (2 * j, 2 * k), "Q+Q-": (2 * j + 1, 2 * k + 1), "I+Q-": (2 * j, 2 * k + 1)}
-    cols = sorted({c for ab in axes.values() for c in ab})
-    m = n_bins + 1  # bin n_bins of each axis takes the values outside the edges
-    counts = np.zeros((2, len(axes), m * m))
+    counts = np.zeros((2, len(axes), n_bins * n_bins))
     for is_on, block in blocks:
-        x = block.data[:, cols].T
-        inside = (x >= -span) & (x <= span)  # False for NaN
-        x = np.where(inside, x, -span)
-        # floor((x + span) n / 2 span) is at most one bin off, so one step
-        # against the neighbouring edges fixes it; the last edge is in the last bin
-        idx = np.minimum(((x + span) * (n_bins / (2.0 * span))).astype(np.intp), n_bins - 1)
-        idx -= x < edges[idx]
-        idx += (x >= edges[idx + 1]) & (idx < n_bins - 1)
-        idx[~inside] = n_bins
-        col_bins = dict(zip(cols, idx))
+        _mode_pair(pair, block.n_modes)
+        x = block.data
+        inside = {c: np.abs(x[:, c]) <= span for c in (2 * j, 2 * j + 1, 2 * k, 2 * k + 1)}
         for t, (a, b) in enumerate(axes.values()):
-            counts[0 if is_on else 1, t] += np.bincount(col_bins[a] * m + col_bins[b],
-                                                        minlength=m * m)
-    h = counts.reshape(2, len(axes), m, m)[..., :n_bins, :n_bins]
+            rows = np.flatnonzero(inside[a] & inside[b])
+            v = x.take(rows * x.shape[1] + [[a], [b]])  # x[rows, a], x[rows, b]
+            # the floor estimate is at most one bin off; one step against the bin's edges fixes it
+            idx = ((v + span) * (n_bins / (2.0 * span))).astype(np.intp)
+            idx[v < lower.take(idx)] -= 1
+            idx[v >= upper.take(idx)] += 1
+            counts[0 if is_on else 1, t] += np.bincount(idx[0] * n_bins + idx[1],
+                                                        minlength=n_bins * n_bins)
+    h = counts.reshape(2, len(axes), n_bins, n_bins)
     return {label: (edges, h[0, t], h[1, t]) for t, label in enumerate(axes)}

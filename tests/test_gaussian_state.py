@@ -388,3 +388,61 @@ def test_histogram2d_subtracted_matches_pooled_histogram2d(bin_width, span):
             want, _, _ = np.histogram2d(pooled[:, a], pooled[:, b], bins=[edges, edges])
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), label
+
+
+def test_histogram2d_subtracted_keeps_rows_with_both_values_inside():
+    # pair (2, 0) of 3 modes is reversed and skips mode 1: I+ is column 4,
+    # Q+ column 5, I- column 0, Q- column 1
+    span, bin_width = 2.0, 0.25
+    edges = np.linspace(-span, span, 17)
+    rng = np.random.default_rng(23)
+    hard = np.concatenate([edges, [np.nan, np.inf, -np.inf, 1.5 * span, -1.5 * span]])
+
+    def block(is_on, data):
+        return is_on, QuadratureSamples(3, data)
+
+    mixed = rng.normal(scale=span, size=(400, 6))
+    mixed[: hard.size, [4, 0, 5, 1]] = np.column_stack(
+        [hard, rng.permutation(hard), rng.permutation(hard), hard[::-1]])
+    no_q_minus = rng.normal(scale=span / 2, size=(300, 6))
+    no_q_minus[:, 1] = np.nan  # Q+Q- and I+Q- keep no row of this block
+    no_q_plus = rng.normal(scale=span / 2, size=(300, 6))
+    no_q_plus[:, 5] = 3.0 * span  # Q+Q- keeps no row of this block
+    outside = rng.choice([-1.0, 1.0], size=(200, 6)) * (
+        np.nextafter(span, np.inf) + rng.exponential(span, size=(200, 6)))
+    blocks = [block(True, mixed), block(False, rng.normal(scale=span, size=(400, 6))),
+              block(True, no_q_minus), block(False, no_q_plus),
+              block(True, outside), block(False, outside)]
+    cols = {"I+I-": (4, 0), "Q+Q-": (5, 1), "I+Q-": (4, 1)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hists = histogram2d_subtracted(iter(blocks), (2, 0), bin_width=bin_width, span=span)
+        empty = histogram2d_subtracted(iter([]), (2, 0), bin_width=bin_width, span=span)
+    for label, (a, b) in cols.items():
+        got_edges, h_on, h_off = hists[label]
+        assert np.array_equal(got_edges, edges)
+        for got, is_on in ((h_on, True), (h_off, False)):
+            pooled = np.vstack([s.data for on, s in blocks if on == is_on])
+            want, _, _ = np.histogram2d(pooled[:, a], pooled[:, b], bins=[edges, edges])
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), label
+            assert got.sum() > 0
+        empty_edges, e_on, e_off = empty[label]
+        assert np.array_equal(empty_edges, edges)
+        for counts in (e_on, e_off):
+            assert counts.dtype == float
+            assert counts.shape == (16, 16)
+            assert not counts.any()
+
+
+@pytest.mark.parametrize("pair", [(-1, 0), (0, 0), (0, 2)])
+def test_mode_pair_functions_refuse_bad_pairs(pair):
+    v = two_mode_squeezed_covariance(0.4)
+    block = (True, sample(v, 10, seed=5))
+    for call in (
+        lambda: histogram2d_subtracted(iter([block]), pair),
+        lambda: squeezing_stats(v, CovarianceMatrix.vacuum(2), pair),
+        lambda: drift_compensation_angle(v, pair),
+    ):
+        with pytest.raises(DimensionMismatchError, match="distinct modes of 2"):
+            call()
