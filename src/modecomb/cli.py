@@ -12,7 +12,8 @@ Pipelines
     records alternate in chopped blocks; each detuning reports the raw
     and pump-referenced squeezing ratios of their pooled sample
     covariances and, for selected detunings, background-subtracted 2D
-    quadrature histograms of records drawn for them, added up block by block.
+    quadrature histograms, drawn from their exact bin probabilities with
+    the expected counts beside them.
 ``multimode``
     Repeated measurement intervals of the full comb output.  Every
     interval's sample covariance is drawn, de-embedded through the
@@ -75,7 +76,6 @@ from .gaussian_state import (
     deamplify,
     histogram2d_subtracted,
     output_covariance,
-    sample,
     sample_covariance,
     squeezing_stats,
     thermal_covariance,
@@ -242,30 +242,20 @@ def _run_twomode(scfg, out_dir):
             np.random.default_rng([scfg.seed, 1, d_idx, i]).uniform(0.0, TWO_PI)
             for i in range(scfg.interval_count)])
 
-    def records(d_idx, v_on, v_off, phis):
-        """(is_on, records) of each chopped block, drawn one at a time."""
-        for i, phi in enumerate(phis):
-            for b in range(blocks):
-                smp = sample(v_off if b % 2 else v_on, scfg.n_samples,
-                             [scfg.seed, 0, d_idx, i, b])
-                yield b % 2 == 0, smp.rotate(np.full(n, phi)) if phi else smp
-
     def one_detuning(d_idx):
         v_on = CovarianceMatrix(n, v_on_all[d_idx])
         v_off = CovarianceMatrix(n, v_off_all[d_idx])
-        phis = drift_angles(d_idx)
-        r = mode_rotation(np.repeat(phis[:, None], n, axis=1))
+        r = mode_rotation(np.repeat(drift_angles(d_idx)[:, None], n, axis=1))
         # one covariance per interval: its rows share the drift angle
-        on, off = (
-            sample_covariance(CovarianceMatrix(n, r @ v.v @ np.swapaxes(r, -1, -2)),
-                              rows_per_state, [scfg.seed, 2, d_idx, state])
-            for state, v in enumerate((v_on, v_off)))
-        r_e, r_p = squeezing_stats(on, off, pair)
+        on, off = (CovarianceMatrix(n, r @ v.v @ np.swapaxes(r, -1, -2)) for v in (v_on, v_off))
+        r_e, r_p = squeezing_stats(*(
+            sample_covariance(v, rows_per_state, [scfg.seed, 2, d_idx, state])
+            for state, v in enumerate((on, off))), pair)
         r_e_model, r_p_model = squeezing_stats(v_on, v_off, pair)
         hists = None
         if d_idx in sec["histogram_detunings"]:
-            hists = histogram2d_subtracted(records(d_idx, v_on, v_off, phis),
-                                           pair, bin_width=sec["histogram_bin"],
+            hists = histogram2d_subtracted(on, off, pair, rows_per_state, [scfg.seed, 3, d_idx],
+                                           bin_width=sec["histogram_bin"],
                                            span=sec["histogram_span"])
         return {"r_e": r_e, "r_p": r_p, "r_e_model": r_e_model,
                 "r_p_model": r_p_model, "hists": hists,
@@ -279,16 +269,17 @@ def _run_twomode(scfg, out_dir):
 
     def histogram_columns(hists):
         # one block per axis pair, so only one pair's rows are built at a time
-        for axes, (edges, h_on, h_off) in sorted(hists.items()):
-            r, c = np.indices(h_on.shape).reshape(2, -1)
-            yield ([axes] * r.size, r.tolist(), c.tolist(), edges[r], edges[c],
-                   h_on.ravel(), h_off.ravel(), (h_on - h_off).ravel())
+        for axes, h in sorted(hists.items()):
+            h_on, h_off = h.counts.reshape(2, -1)
+            r, c = np.indices(h.counts.shape[1:]).reshape(2, -1)
+            yield ([axes] * r.size, r.tolist(), c.tolist(), h.edges[r], h.edges[c],
+                   h_on, h_off, h_on - h_off, *h.expected.reshape(2, -1))
 
     for d_idx in sec["histogram_detunings"]:
         files.append(_write_csv(
             out_dir, f"histograms_d{d_idx:02d}.csv",
             ["axes", "row", "col", "x_low", "y_low", "count_on", "count_off",
-             "difference"],
+             "difference", "count_on_model", "count_off_model"],
             histogram_columns(rows[d_idx]["hists"])))
 
     mid = len(detunings) // 2

@@ -362,6 +362,11 @@ def validate_config(doc, config_path="<config>", digest=""):
         section["histogram_detunings"] = sorted(set(_indices(
             [count // 2] if hist is None else hist, "twomode.histogram_detunings",
             count, "sweep index")))
+        width, span = section["histogram_bin"], section["histogram_span"]
+        bins = 2.0 * span / width
+        if round(bins) < 1 or abs(bins - round(bins)) > 1e-9 * bins:
+            _fail("twomode.histogram_bin", f"{width!r} does not split the window "
+                                           f"[-{span!r}, {span!r}] into whole bins")
     elif pipeline == "multimode":
         if len(probe_indices) < 2:
             _fail("probes.mode_indices", "multimode analysis needs at least "

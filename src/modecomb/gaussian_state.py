@@ -18,6 +18,7 @@ from .errors import (
     EmptySamplesError,
     GainBelowUnityError,
     NotPSDError,
+    NumericalError,
     ZeroVarianceError,
 )
 
@@ -416,35 +417,110 @@ def squeezing_stats(on, off, pair):
     return r_e, r_p
 
 
-def histogram2d_subtracted(blocks, pair, bin_width=0.25, span=6.0):
-    """Binned pump-on, pump-off, and subtracted counts for a mode pair.
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
-    ``blocks`` is an iterable of (is_on, QuadratureSamples); each is binned
-    as it arrives and then dropped. Returns {label: (edges, counts_on,
-    counts_off)} for the axis pairs "I+I-", "Q+Q-" and "I+Q-"; subtract per
-    bin. A row enters an axis pair's float counts only if both of its values
-    lie in [-span, span] (NaN and +-inf never do), and only those rows are
-    binned, as ``np.histogram2d`` bins them. Bins are uniform.
+    Golub-Welsch: the nodes are the eigenvalues of the Legendre Jacobi
+    matrix, each weight twice the squared first component of its
+    eigenvector.
     """
-    j, k = pair
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 * vecs[0] ** 2
+
+
+@dataclass
+class PairHistogram:
+    """Binned rows of one axis pair; axis 0 of each array is pump on, pump off.
+
+    ``edges`` bound the bins of both axes; ``counts`` are the drawn rows per
+    bin and ``expected`` their mean (rows times the bin probability), both
+    (2, n_bins, n_bins); ``outside`` counts the drawn rows with a value
+    outside the window.
+    """
+
+    edges: np.ndarray
+    counts: np.ndarray
+    expected: np.ndarray
+    outside: np.ndarray
+
+
+def _bin_probabilities(blocks, edges):
+    """Probability of each bin of a zero-mean bivariate normal, per 2 x 2 block.
+
+    ``blocks`` is (U, 2, 2); returns (U, n_bins, n_bins). A tensor
+    Gauss-Legendre rule with 4 nodes per axis integrates the density over
+    every bin.
+    """
+    # per call, not at import: a LAPACK call at import adds ~1 MB to every pipeline's RSS
+    nodes, weights = _gauss_legendre(4)
+    n_bins = edges.size - 1
+    width = np.diff(edges)
+    x = (edges[:-1, None] + (nodes + 1.0) / 2.0 * width[:, None]).ravel()
+    # bin i sums its own 4 nodes with weights w * width / 2
+    w = np.repeat(np.eye(n_bins), nodes.size, axis=1) * np.outer(width / 2.0, weights).ravel()
+    a, b, c = (blocks[:, i, j, None, None] for i, j in ((0, 0), (1, 1), (0, 1)))
+    det = a * b - c * c
+    # the exponent -(b x^2 + a y^2 - 2 c x y) / (2 det), built in one buffer
+    density = c * np.outer(x, x)
+    density -= b * x[:, None] ** 2 / 2.0
+    density -= a * x[None, :] ** 2 / 2.0
+    density /= det
+    np.exp(density, out=density)
+    density /= 2.0 * np.pi * np.sqrt(det)
+    return w @ density @ w.T
+
+
+def histogram2d_subtracted(v_on, v_off, pair, rows, seed, bin_width=0.25, span=6.0):
+    """Pump-on and pump-off quadrature histograms of a mode pair, drawn from
+    their exact bin probabilities.
+
+    ``v_on`` and ``v_off`` hold one covariance per interval (a single matrix
+    is one interval); every interval contributes ``rows`` rows per state.
+    Returns {label: PairHistogram} for the axis pairs "I+I-", "Q+Q-" and
+    "I+Q-"; subtract per bin. A row enters a bin only if both of its values
+    lie in [-span, span]; bins are uniform.
+
+    The counts have exactly the distribution of binning ``sample`` records
+    with ``np.histogram2d``, but each axis pair is an independent draw: per
+    state and axis pair, each distinct covariance gives every bin's
+    probability (``_bin_probabilities``) plus one cell for the rows outside,
+    and ``rng.multinomial`` draws its intervals' rows over them. Identical
+    covariances are merged first, so a run without drift draws one table
+    per axis pair and state. The rule is certified only where the narrow
+    axis of the pair's 2 x 2 block is at least a bin wide; a narrower one
+    raises NumericalError. Identical seeds give identical counts.
+    """
+    j, k = _mode_pair(pair, v_on.n_modes)
     n_bins = max(1, int(round(2.0 * span / bin_width)))
     edges = np.linspace(-span, span, n_bins + 1)
-    lower = np.append(edges[:-1], np.inf)  # +inf: an estimate of n_bins steps back
-    upper = np.append(edges[1:-1], np.inf)  # +inf: the last bin keeps the last edge
-    axes = {"I+I-": (2 * j, 2 * k), "Q+Q-": (2 * j + 1, 2 * k + 1), "I+Q-": (2 * j, 2 * k + 1)}
-    counts = np.zeros((2, len(axes), n_bins * n_bins))
-    for is_on, block in blocks:
-        _mode_pair(pair, block.n_modes)
-        x = block.data
-        inside = {c: np.abs(x[:, c]) <= span for c in (2 * j, 2 * j + 1, 2 * k, 2 * k + 1)}
-        for t, (a, b) in enumerate(axes.values()):
-            rows = np.flatnonzero(inside[a] & inside[b])
-            v = x.take(rows * x.shape[1] + [[a], [b]])  # x[rows, a], x[rows, b]
-            # the floor estimate is at most one bin off; one step against the bin's edges fixes it
-            idx = ((v + span) * (n_bins / (2.0 * span))).astype(np.intp)
-            idx[v < lower.take(idx)] -= 1
-            idx[v >= upper.take(idx)] += 1
-            counts[0 if is_on else 1, t] += np.bincount(idx[0] * n_bins + idx[1],
-                                                        minlength=n_bins * n_bins)
-    h = counts.reshape(2, len(axes), n_bins, n_bins)
-    return {label: (edges, h[0, t], h[1, t]) for t, label in enumerate(axes)}
+    axes = {"I+I-": [2 * j, 2 * k], "Q+Q-": [2 * j + 1, 2 * k + 1], "I+Q-": [2 * j, 2 * k + 1]}
+    rng = np.random.default_rng(seed)
+    counts = np.zeros((len(axes), 2, n_bins, n_bins))
+    expected = np.zeros_like(counts)
+    outside = np.zeros((len(axes), 2), dtype=np.int64)
+    for s, v in enumerate((v_on, v_off)):
+        d = v.v.shape[-1]
+        distinct, repeats = np.unique(v.v.reshape(-1, d * d), axis=0, return_counts=True)
+        distinct = distinct.reshape(-1, d, d)
+        n_rows = int(rows) * repeats
+        for t, (label, ab) in enumerate(axes.items()):
+            blocks = distinct[:, ab][:, :, ab]
+            a, b, c = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 0, 1]
+            narrow = (a + b) / 2.0 - np.hypot((a - b) / 2.0, c)
+            if not np.all(narrow >= bin_width**2):
+                sd = np.sqrt(np.clip(np.min(narrow), 0.0, None))
+                raise NumericalError(
+                    f"{label} pump-{('on', 'off')[s]} block has a narrow-axis SD "
+                    f"of {sd:.3g}, below the bin width {bin_width}; the bin rule "
+                    f"is not certified there")
+            p = _bin_probabilities(blocks, edges).reshape(len(blocks), -1)
+            p /= np.maximum(p.sum(axis=1), 1.0)[:, None]  # rounding may push the sum past 1
+            cells = np.column_stack([p, np.clip(1.0 - p.sum(axis=1), 0.0, None)])
+            drawn = rng.multinomial(n_rows, cells).sum(axis=0)
+            counts[t, s] = drawn[:-1].reshape(n_bins, n_bins)
+            outside[t, s] = drawn[-1]
+            expected[t, s] = (n_rows @ p).reshape(n_bins, n_bins)
+    return {label: PairHistogram(edges, counts[t], expected[t], outside[t])
+            for t, label in enumerate(axes)}

@@ -22,6 +22,7 @@ from modecomb.cli import (
 )
 from modecomb.errors import ConfigError
 from modecomb.scattering import magnitude_db
+from test_gaussian_state import drift_stack, rectangle_probabilities
 
 MIRROR = """\
 system:
@@ -223,10 +224,14 @@ def test_twomode_drift_phase_run(tmp_path):
 
 
 def test_twomode_histograms_match_pooled_records(tmp_path):
-    # reference: pool every chopped block's draws, then one histogram2d
+    # The histogram CSV's model columns are rows * p of each drift-rotated
+    # interval, and its counts and the pooled records of every chopped block
+    # (``sample``, then np.histogram2d) both fit them. A 24-bin window of
+    # +-300 holds most of the 40 dB records (SD about 150).
     cfg = SMALL_TWOMODE.replace("  n_samples: 2000\n  interval_count: 2\n",
                                 "  n_samples: 5000\n  interval_count: 2\n"
                                 "  drift_phase: true\n")
+    cfg += "  histogram_bin: 25.0\n  histogram_span: 300.0\n"
     report = run_scenario(write_config(tmp_path, cfg))
     out = report.output_dir
 
@@ -237,26 +242,45 @@ def test_twomode_histograms_match_pooled_records(tmp_path):
 
     # the model covariances are written for the middle detuning, index 1
     v = {True: model("covariance_on_model.csv"), False: model("covariance_off_model.csv")}
-    seed, d_idx, blocks = 11, 1, 4  # 2 Hz chopping over 2 s intervals
+    seed, d_idx, blocks, rows = 11, 1, 4, 10_000  # 2 Hz chopping over 2 s intervals
+    phis = [np.random.default_rng([seed, 1, d_idx, i]).uniform(0.0, 2.0 * np.pi)
+            for i in range(2)]
+    stacks = {on: drift_stack(v[on], phis) for on in v}
     pooled = {True: [], False: []}
     for i in range(2):
-        phi = np.random.default_rng([seed, 1, d_idx, i]).uniform(0.0, 2.0 * np.pi)
         for b in range(blocks):
             smp = sample(v[b % 2 == 0], 5000, [seed, 0, d_idx, i, b])
-            pooled[b % 2 == 0].append(smp.rotate(np.full(2, phi)).data)
-    edges = np.linspace(-6.0, 6.0, 49)
-    want = []
-    for axes, (a, b) in sorted({"I+I-": (0, 2), "Q+Q-": (1, 3), "I+Q-": (0, 3)}.items()):
-        on, off = (np.histogram2d(x[:, a], x[:, b], bins=[edges, edges])[0]
-                   for x in (np.vstack(pooled[True]), np.vstack(pooled[False])))
-        want += [[axes, str(r), str(c)] + [repr(float(x)) for x in (
-                     edges[r], edges[c], on[r, c], off[r, c], on[r, c] - off[r, c])]
-                 for r, c in np.ndindex(on.shape)]
+            pooled[b % 2 == 0].append(smp.rotate(np.full(2, phis[i])).data)
+    edges = np.linspace(-300.0, 300.0, 25)
     with open(os.path.join(out, "histograms_d01.csv"), newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["axes", "row", "col", "x_low", "y_low", "count_on",
-                       "count_off", "difference"]
-    assert rows[1:] == want
+        table = list(csv.reader(fh))
+    assert table[0] == ["axes", "row", "col", "x_low", "y_low", "count_on", "count_off",
+                        "difference", "count_on_model", "count_off_model"]
+    got = np.array([[float(x) for x in row[1:]] for row in table[1:]])
+    assert [row[0] for row in table[1:]] == [a for a in ("I+I-", "I+Q-", "Q+Q-")
+                                             for _ in range(24 * 24)]
+    chi2 = {"drawn": 0.0, "records": 0.0}
+    dof = 0
+    for t, (a, b) in enumerate(((0, 2), (0, 3), (1, 3))):  # I+I-, I+Q-, Q+Q-
+        part = got[t * 576:(t + 1) * 576]
+        r, c = np.indices((24, 24)).reshape(2, -1)
+        assert np.array_equal(part[:, :4], np.column_stack([r, c, edges[r], edges[c]]))
+        assert np.array_equal(part[:, 6], part[:, 4] - part[:, 5])
+        for s, on in enumerate((True, False)):
+            want = rows * sum(rectangle_probabilities(m[np.ix_([a, b], [a, b])], edges)
+                              for m in stacks[on].v).ravel()
+            assert np.allclose(part[:, 7 + s], want, rtol=1e-9, atol=1e-9)
+            records = np.vstack(pooled[on])
+            oracle = np.histogram2d(records[:, a], records[:, b], bins=[edges, edges])[0]
+            big = want >= 5.0
+            rest = 2 * rows - want[big].sum()
+            dof += big.sum()
+            for name, counts in (("drawn", part[:, 4 + s]), ("records", oracle.ravel())):
+                kept = counts[big]
+                chi2[name] += np.sum((kept - want[big]) ** 2 / want[big])
+                chi2[name] += (2 * rows - kept.sum() - rest) ** 2 / rest
+    for name, value in chi2.items():
+        assert abs(value - dof) <= 5.0 * np.sqrt(2.0 * dof), (name, value, dof)
 
 
 def test_workers_key_is_refused(tmp_path, capsys):

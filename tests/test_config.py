@@ -51,6 +51,12 @@ REJECTIONS = {
     "histogram-index-out-of-range": (TM, "histogram_detunings: [1]",
                                      "histogram_detunings: [3]",
                                      "twomode.histogram_detunings[0]"),
+    "histogram-bin-not-dividing-the-window": (TM, "histogram_detunings: [1]",
+                                              "histogram_detunings: [1]\n  histogram_bin: 0.35",
+                                              "twomode.histogram_bin"),
+    "histogram-bin-wider-than-the-window": (TM, "histogram_detunings: [1]",
+                                            "histogram_detunings: [1]\n  histogram_bin: 13.0",
+                                            "twomode.histogram_bin"),
     "mode-index-gap": (MM, "{index: 3,", "{index: 4,", "system.modes"),
     "modes-out-of-frequency-order": (TM, "{index: 0, freq_hz: 3.8245e9",
                                      "{index: 0, freq_hz: 3.8400e9", "system.modes"),
@@ -166,3 +172,11 @@ def test_malformed_yaml_exits_two(tmp_path, capsys, command):
     path = write_config(tmp_path, TM.replace("temp_k: 0.007", "temp_k: [0.007", 1))
     assert main([command, str(path)]) == 2
     assert "is not valid YAML" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width, span", [(0.25, 6.0), (0.5, 6.0), (0.1, 6.0), (12.0, 6.0)])
+def test_histogram_bins_that_split_the_window_are_accepted(tmp_path, width, span):
+    # 0.1 on +-6 is 119.99999999999999 bins in floating point; 12 is one bin
+    cfg = TM.replace("histogram_detunings: [1]", f"histogram_detunings: [1]\n"
+                     f"  histogram_bin: {width}\n  histogram_span: {span}")
+    assert main(["validate", str(write_config(tmp_path, cfg))]) == 0

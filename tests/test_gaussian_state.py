@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.constants import hbar as HBAR
 from scipy.constants import k as KB
+from scipy.stats import multivariate_normal
 
 from modecomb import (
     AmplifierModel,
@@ -15,6 +16,7 @@ from modecomb import (
     GainBelowUnityError,
     ModeSpec,
     NotPSDError,
+    NumericalError,
     QuadratureSamples,
     amplify,
     bose_occupation,
@@ -32,6 +34,7 @@ from modecomb import (
     two_mode_squeezed_covariance,
 )
 from modecomb.bases import mode_rotation
+from modecomb.gaussian_state import _bin_probabilities, _gauss_legendre
 from modecomb.cli import _write_covariance
 
 TWO_PI = 2.0 * np.pi
@@ -337,110 +340,180 @@ def test_single_matrix_methods_reject_stacks(tmp_path):
     assert amplify(stack, AmplifierModel.uniform(2, 4.0, 0.0)).v.shape == (4, 4, 4)
 
 
+AXES = {"I+I-": (0, 2), "Q+Q-": (1, 3), "I+Q-": (0, 3)}
+
+
+def rectangle_probabilities(block, edges):
+    """Reference bin probabilities of a zero-mean bivariate normal: the
+    bivariate CDF at the four corners of every bin."""
+    x, y = np.meshgrid(edges, edges, indexing="ij")
+    cdf = multivariate_normal.cdf(np.stack([x, y], -1), mean=[0.0, 0.0], cov=block)
+    return cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
+
+
+def drift_stack(v, angles):
+    """One copy of ``v`` per angle, every mode rotated by that angle."""
+    r = mode_rotation(np.repeat(np.asarray(angles)[:, None], v.n_modes, axis=1))
+    return CovarianceMatrix(v.n_modes, r @ v.v @ np.swapaxes(r, -1, -2))
+
+
+def thermal_like(n_modes, variance):
+    return CovarianceMatrix(n_modes, variance * np.eye(2 * n_modes))
+
+
 def test_histogram2d_subtracted():
     v = two_mode_squeezed_covariance(0.4)
-    on = sample(v, 20_000, seed=3)
-    off = sample(CovarianceMatrix.vacuum(2), 20_000, seed=4)
-    hists = histogram2d_subtracted(iter([(True, on), (False, off)]), (0, 1),
+    hists = histogram2d_subtracted(v, CovarianceMatrix.vacuum(2), (0, 1), 20_000, seed=3,
                                    bin_width=0.5, span=6.0)
     assert set(hists) == {"I+I-", "Q+Q-", "I+Q-"}
-    edges, h_on, h_off = hists["I+I-"]
-    assert edges.shape == (25,)
-    assert h_on.shape == (24, 24)
-    assert h_on.dtype == float
-    assert h_on.sum() <= 20_000
-    assert h_on.sum() > 19_000
+    h = hists["I+I-"]
+    assert np.array_equal(h.edges, np.linspace(-6.0, 6.0, 25))
+    assert h.counts.shape == h.expected.shape == (2, 24, 24)
+    assert h.counts.dtype == float
+    on, off = h.counts
+    assert 19_000 < on.sum() <= 20_000
     # pump-on I-I correlations tilt the histogram along the diagonal
-    idx = np.arange(24)
-    diag_on = sum(h_on[i, i] for i in idx)
-    diag_off = sum(h_off[i, i] for i in idx)
-    assert diag_on > diag_off
+    assert np.trace(on) > np.trace(off)
+    assert np.trace(h.expected[0]) > np.trace(h.expected[1])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_golub_welsch_nodes_match_leggauss(n):
+    nodes, weights = _gauss_legendre(n)
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(nodes - want_nodes)) <= 1e-15
+    assert np.max(np.abs(weights - want_weights)) <= 1e-15
+
+
+# the demo's middle-detuning model blocks (40 dB gain), pump on and pump off
+DEMO_ON = np.array([[234590.5367364354, -220408.16326703483],
+                    [-220408.16326703483, 234590.5367364284]])
+DEMO_ON_II = np.diag([234590.5367364354, 234590.5367364284])
+DEMO_OFF = np.diag([22998.700000081924, 22998.70000007494])
+
+
+@pytest.mark.parametrize("block", [
+    DEMO_ON, DEMO_ON_II, DEMO_OFF, DEMO_ON / 1e4, DEMO_ON_II / 1e4, DEMO_OFF / 1e4,
+    # two-mode squeezed (r = 1.2): narrow SD 0.30, 1.3% of the mass beyond +-6
+    two_mode_squeezed_covariance(1.2).v[np.ix_([0, 2], [0, 2])],
+    two_mode_squeezed_covariance(1.2).v[np.ix_([0, 3], [0, 3])],
+    2.5 * two_mode_squeezed_covariance(0.6, phase=0.3).v[np.ix_([1, 3], [1, 3])],
+], ids=["on", "on-II", "off", "on/G", "on-II/G", "off/G", "tms-II", "tms-IQ", "tms-phase"])
+def test_bin_probabilities_match_bivariate_normal_rectangles(block):
+    edges = np.linspace(-6.0, 6.0, 49)
+    got = _bin_probabilities(block[None], edges)[0]
+    assert np.max(np.abs(got - rectangle_probabilities(block, edges))) <= 1e-10
 
 
 @pytest.mark.parametrize("bin_width, span", [(0.25, 6.0), (0.35, 6.0), (0.5, 2.0), (0.3, 1.7)])
 def test_histogram2d_subtracted_matches_pooled_histogram2d(bin_width, span):
+    # Drawn counts and the records oracle (``sample``, then np.histogram2d
+    # per interval) must both fit the reference rows * p of two
+    # drift-rotated intervals. Cells expected below 5 rows are pooled with
+    # the rows outside the window; summed over 20 seeds and all 6 tables,
+    # Pearson's chi-square stays within 5 SD of its degrees of freedom.
+    v_on = drift_stack(CovarianceMatrix(2, 1.5 * two_mode_squeezed_covariance(0.3).v),
+                       [0.4, 2.1])
+    v_off = drift_stack(thermal_like(2, 1.3), [0.4, 2.1])
+    rows = 3000
     n_bins = max(1, int(round(2.0 * span / bin_width)))
     edges = np.linspace(-span, span, n_bins + 1)
-    # every edge, its float neighbours, +-span, beyond span, signed zeros and
-    # non-finite values, which are dropped without a warning
-    hard = np.concatenate([edges, np.nextafter(edges, -np.inf),
-                           np.nextafter(edges, np.inf),
-                           [span, -span, 1.5 * span, -1.5 * span, 0.0, -0.0,
-                            np.nan, np.inf, -np.inf]])
-    rng = np.random.default_rng(17)
-    blocks = []
-    for b in range(6):
-        data = rng.normal(scale=span / 2, size=(hard.size * 3, 4))
-        # the hard values sit in every column, paired with each other
-        data[: hard.size] = np.column_stack([hard, rng.permutation(hard),
-                                             hard[::-1], rng.permutation(hard)])
-        blocks.append((b % 3 != 2, QuadratureSamples(2, data)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        hists = histogram2d_subtracted(iter(blocks), (0, 1),
+    want = {(label, s): sum(rows * rectangle_probabilities(v.v[i][np.ix_(ab, ab)], edges)
+                            for i in range(2))
+            for label, ab in AXES.items() for s, v in enumerate((v_on, v_off))}
+    chi2 = {"drawn": 0.0, "records": 0.0}
+    dof = 0
+    for seed in range(20):
+        hists = histogram2d_subtracted(v_on, v_off, (0, 1), rows, [seed, 0],
                                        bin_width=bin_width, span=span)
-    cols = {"I+I-": (0, 2), "Q+Q-": (1, 3), "I+Q-": (0, 3)}
-    for label, (a, b) in cols.items():
-        got_edges, h_on, h_off = hists[label]
-        assert np.array_equal(got_edges, edges)
-        for got, is_on in ((h_on, True), (h_off, False)):
-            pooled = np.vstack([s.data for on, s in blocks if on == is_on])
-            want, _, _ = np.histogram2d(pooled[:, a], pooled[:, b], bins=[edges, edges])
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want), label
+        records = [[sample(CovarianceMatrix(2, v.v[i]), rows, [seed, 1, s, i]).data
+                    for i in range(2)] for s, v in enumerate((v_on, v_off))]
+        for (label, s), expected in want.items():
+            a, b = AXES[label]
+            h = hists[label]
+            assert np.array_equal(h.edges, edges)
+            assert np.allclose(h.expected[s], expected, rtol=0.0, atol=1e-10 * rows)
+            oracle = sum(np.histogram2d(x[:, a], x[:, b], bins=[edges, edges])[0]
+                         for x in records[s])
+            big = expected >= 5.0
+            rest = 2 * rows - expected[big].sum()
+            dof += big.sum()  # cells kept plus the pooled cell, less one
+            for name, counts in (("drawn", h.counts[s]), ("records", oracle)):
+                kept = counts[big]
+                chi2[name] += np.sum((kept - expected[big]) ** 2 / expected[big])
+                chi2[name] += (2 * rows - kept.sum() - rest) ** 2 / rest
+    for name, value in chi2.items():
+        assert abs(value - dof) <= 5.0 * np.sqrt(2.0 * dof), (name, value, dof)
 
 
 def test_histogram2d_subtracted_keeps_rows_with_both_values_inside():
-    # pair (2, 0) of 3 modes is reversed and skips mode 1: I+ is column 4,
-    # Q+ column 5, I- column 0, Q- column 1
-    span, bin_width = 2.0, 0.25
+    # pair (2, 0) of 3 modes is reversed and skips mode 1: I+ is row 4, Q+
+    # row 5, I- row 0, Q- row 1. Q+ is wide, so Q+Q- and I+Q- keep fewer rows.
+    span, bin_width, rows = 2.0, 0.25, 4000
+    variances = np.array([1.0, 1.5, 9.0, 9.0, 0.8, 25.0])
+    v = CovarianceMatrix(3, np.diag(variances))
+    v.v[4, 0] = v.v[0, 4] = 0.5
+    v.v[5, 1] = v.v[1, 5] = -2.0
+    cols = {"I+I-": [4, 0], "Q+Q-": [5, 1], "I+Q-": [4, 1]}
     edges = np.linspace(-span, span, 17)
-    rng = np.random.default_rng(23)
-    hard = np.concatenate([edges, [np.nan, np.inf, -np.inf, 1.5 * span, -1.5 * span]])
+    hists = histogram2d_subtracted(v, thermal_like(3, 1.0), (2, 0), rows, seed=5,
+                                   bin_width=bin_width, span=span)
+    again = histogram2d_subtracted(v, thermal_like(3, 1.0), (2, 0), rows, seed=5,
+                                   bin_width=bin_width, span=span)
+    other = histogram2d_subtracted(v, thermal_like(3, 1.0), (2, 0), rows, seed=6,
+                                   bin_width=bin_width, span=span)
+    inside = {}
+    for label, ab in cols.items():
+        h = hists[label]
+        want = rows * rectangle_probabilities(v.v[np.ix_(ab, ab)], edges)
+        assert np.allclose(h.expected[0], want, rtol=0.0, atol=1e-10 * rows), label
+        # every row is in exactly one bin or outside
+        assert np.array_equal(h.counts.sum(axis=(1, 2)) + h.outside, [rows, rows])
+        assert np.all(h.counts == np.round(h.counts)) and np.all(h.counts >= 0)
+        for name in ("edges", "counts", "expected", "outside"):
+            assert np.array_equal(getattr(h, name), getattr(again[label], name))
+        assert not np.array_equal(h.counts, other[label].counts)
+        inside[label] = h.counts[0].sum()
+    assert inside["Q+Q-"] < inside["I+I-"] and inside["I+Q-"] < inside["I+I-"]
 
-    def block(is_on, data):
-        return is_on, QuadratureSamples(3, data)
 
-    mixed = rng.normal(scale=span, size=(400, 6))
-    mixed[: hard.size, [4, 0, 5, 1]] = np.column_stack(
-        [hard, rng.permutation(hard), rng.permutation(hard), hard[::-1]])
-    no_q_minus = rng.normal(scale=span / 2, size=(300, 6))
-    no_q_minus[:, 1] = np.nan  # Q+Q- and I+Q- keep no row of this block
-    no_q_plus = rng.normal(scale=span / 2, size=(300, 6))
-    no_q_plus[:, 5] = 3.0 * span  # Q+Q- keeps no row of this block
-    outside = rng.choice([-1.0, 1.0], size=(200, 6)) * (
-        np.nextafter(span, np.inf) + rng.exponential(span, size=(200, 6)))
-    blocks = [block(True, mixed), block(False, rng.normal(scale=span, size=(400, 6))),
-              block(True, no_q_minus), block(False, no_q_plus),
-              block(True, outside), block(False, outside)]
-    cols = {"I+I-": (4, 0), "Q+Q-": (5, 1), "I+Q-": (4, 1)}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        hists = histogram2d_subtracted(iter(blocks), (2, 0), bin_width=bin_width, span=span)
-        empty = histogram2d_subtracted(iter([]), (2, 0), bin_width=bin_width, span=span)
-    for label, (a, b) in cols.items():
-        got_edges, h_on, h_off = hists[label]
-        assert np.array_equal(got_edges, edges)
-        for got, is_on in ((h_on, True), (h_off, False)):
-            pooled = np.vstack([s.data for on, s in blocks if on == is_on])
-            want, _, _ = np.histogram2d(pooled[:, a], pooled[:, b], bins=[edges, edges])
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want), label
-            assert got.sum() > 0
-        empty_edges, e_on, e_off = empty[label]
-        assert np.array_equal(empty_edges, edges)
-        for counts in (e_on, e_off):
-            assert counts.dtype == float
-            assert counts.shape == (16, 16)
-            assert not counts.any()
+def test_drift_stack_draws_one_table_per_interval():
+    base = two_mode_squeezed_covariance(0.5)
+    off = thermal_like(2, 1.0)
+    angles = [0.0, 0.7, 1.9, 0.7]
+    stack = drift_stack(base, angles)
+    hists = histogram2d_subtracted(stack, off, (0, 1), 500, seed=9)
+    for label in AXES:
+        # each interval's own probabilities, not those of a pooled covariance
+        single = sum(histogram2d_subtracted(CovarianceMatrix(2, m), off, (0, 1), 500,
+                                            seed=9)[label].expected[0] for m in stack.v)
+        assert np.allclose(hists[label].expected[0], single, rtol=1e-12, atol=0.0)
+        # four pump-on intervals, one pump-off interval
+        assert np.array_equal(hists[label].counts.sum(axis=(1, 2)) + hists[label].outside,
+                              [2000, 500])
+    # identical intervals merge into one table that draws all of their rows
+    same_on, same_off = drift_stack(base, [0.7] * 3), drift_stack(off, [0.7] * 3)
+    merged = histogram2d_subtracted(same_on, same_off, (0, 1), 500, seed=9)
+    single = histogram2d_subtracted(CovarianceMatrix(2, same_on.v[0]),
+                                    CovarianceMatrix(2, same_off.v[0]), (0, 1), 1500, seed=9)
+    for label in AXES:
+        assert np.array_equal(merged[label].counts, single[label].counts)
+        assert np.array_equal(merged[label].expected, single[label].expected)
+
+
+def test_narrow_state_is_refused():
+    # two-mode squeezing r = 1.5: the I+I- block's narrow-axis SD is e^-1.5 = 0.22
+    v = two_mode_squeezed_covariance(1.5)
+    with pytest.raises(NumericalError, match="narrow-axis SD of 0.223"):
+        histogram2d_subtracted(v, thermal_like(2, 1.0), (0, 1), 100, seed=1)
+    histogram2d_subtracted(v, thermal_like(2, 1.0), (0, 1), 100, seed=1, bin_width=0.2)
 
 
 @pytest.mark.parametrize("pair", [(-1, 0), (0, 0), (0, 2)])
 def test_mode_pair_functions_refuse_bad_pairs(pair):
     v = two_mode_squeezed_covariance(0.4)
-    block = (True, sample(v, 10, seed=5))
     for call in (
-        lambda: histogram2d_subtracted(iter([block]), pair),
+        lambda: histogram2d_subtracted(v, v, pair, 10, seed=5),
         lambda: squeezing_stats(v, CovarianceMatrix.vacuum(2), pair),
         lambda: drift_compensation_angle(v, pair),
     ):

@@ -1,4 +1,9 @@
-"""No pipeline loads scipy; the tests use it only as an independent oracle."""
+"""No pipeline loads scipy; the tests use it only as an independent oracle.
+
+Nor does one load ``numpy.polynomial``: the histogram rule computes its
+Gauss-Legendre nodes itself, since that package alone adds about 1 MB of
+peak memory.
+"""
 
 import json
 import os
@@ -20,7 +25,7 @@ from test_cli import (
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(modecomb.__file__)))
 
 # Runs the given configs and code in this interpreter, then prints the
-# loaded scipy modules.
+# loaded scipy and numpy.polynomial modules.
 PROBE = """\
 import json, sys
 import modecomb
@@ -28,7 +33,8 @@ from modecomb.cli import run_scenario
 for path in sys.argv[1:]:
     run_scenario(path)
 {code}
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial"))))
 """
 
 # The assumed-temperature sweep of test_calibration, crossing included.
@@ -54,8 +60,9 @@ assert crossing is not None
 """
 
 
-def loaded_scipy_modules(*configs, code=""):
-    """Fresh interpreter: import modecomb, run ``configs`` and ``code``, list scipy modules."""
+def loaded_guarded_modules(*configs, code=""):
+    """Fresh interpreter: import modecomb, run ``configs`` and ``code``, list the
+    scipy and numpy.polynomial modules loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     probe = PROBE.format(code=code)
@@ -75,7 +82,7 @@ def test_constants_equal_the_reference_values():
 
 
 def test_import_loads_no_scipy():
-    assert loaded_scipy_modules() == []
+    assert loaded_guarded_modules() == []
 
 
 def test_twomode_and_scattering_runs_load_no_scipy(tmp_path):
@@ -83,17 +90,17 @@ def test_twomode_and_scattering_runs_load_no_scipy(tmp_path):
                            out=str(tmp_path / "out-twomode"))
     scattering = write_config(tmp_path, SMALL_SCATTERING, name="scattering.cfg",
                               out=str(tmp_path / "out-scattering"))
-    assert loaded_scipy_modules(twomode, scattering) == []
+    assert loaded_guarded_modules(twomode, scattering) == []
 
 
 def test_calibration_run_and_temperature_sweep_load_no_scipy(tmp_path):
     calibration = write_config(tmp_path, SMALL_CALIBRATION)
-    assert loaded_scipy_modules(calibration, code=SWEEP) == []
+    assert loaded_guarded_modules(calibration, code=SWEEP) == []
 
 
 def test_multimode_run_loads_no_scipy(tmp_path):
     # the reconstruction brackets each interval by duality, without an LP
     config = write_config(tmp_path, SMALL_MULTIMODE)
-    assert loaded_scipy_modules(config) == []
+    assert loaded_guarded_modules(config) == []
     with open(tmp_path / "out" / "report.json") as fh:
         assert json.load(fh)["metrics"]["intervals_converged"] == 5
