@@ -1,7 +1,5 @@
 """Covariance matrices, the amplifier chain, sampling, and squeezing ratios."""
 
-import warnings
-
 import numpy as np
 import pytest
 from scipy.constants import hbar as HBAR
