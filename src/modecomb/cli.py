@@ -268,12 +268,14 @@ def _run_twomode(scfg, out_dir):
                         [(detunings, *([row[key] for row in rows] for key in keys))])]
 
     def histogram_columns(hists):
-        # one block per axis pair, so only one pair's rows are built at a time
+        # one block per axis pair, so only one pair's rows are built at a time;
+        # expected counts to 1e-6 row, far inside a bin's Poisson spread: their
+        # full 17-digit reprs doubled the time this file takes to write
         for axes, h in sorted(hists.items()):
             h_on, h_off = h.counts.reshape(2, -1)
             r, c = np.indices(h.counts.shape[1:]).reshape(2, -1)
             yield ([axes] * r.size, r.tolist(), c.tolist(), h.edges[r], h.edges[c],
-                   h_on, h_off, h_on - h_off, *h.expected.reshape(2, -1))
+                   h_on, h_off, h_on - h_off, *np.round(h.expected, 6).reshape(2, -1))
 
     for d_idx in sec["histogram_detunings"]:
         files.append(_write_csv(

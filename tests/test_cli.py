@@ -225,7 +225,7 @@ def test_twomode_drift_phase_run(tmp_path):
 
 def test_twomode_histograms_match_pooled_records(tmp_path):
     # The histogram CSV's model columns are rows * p of each drift-rotated
-    # interval, and its counts and the pooled records of every chopped block
+    # interval, rounded to 1e-6 row, and its counts and the pooled records of every chopped block
     # (``sample``, then np.histogram2d) both fit them. A 24-bin window of
     # +-300 holds most of the 40 dB records (SD about 150).
     cfg = SMALL_TWOMODE.replace("  n_samples: 2000\n  interval_count: 2\n",
@@ -269,7 +269,7 @@ def test_twomode_histograms_match_pooled_records(tmp_path):
         for s, on in enumerate((True, False)):
             want = rows * sum(rectangle_probabilities(m[np.ix_([a, b], [a, b])], edges)
                               for m in stacks[on].v).ravel()
-            assert np.allclose(part[:, 7 + s], want, rtol=1e-9, atol=1e-9)
+            assert np.allclose(part[:, 7 + s], want, rtol=1e-12, atol=5e-7)  # written to 1e-6
             records = np.vstack(pooled[on])
             oracle = np.histogram2d(records[:, a], records[:, b], bins=[edges, edges])[0]
             big = want >= 5.0
