@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import json
 import math
 import os
@@ -138,18 +137,37 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _csv_fields(column, lone=False):
+    """The CSV fields of one column, each distinct value formatted once.
+
+    A numpy array column gives ``repr(float(x))`` per element, numpy integers
+    and float32 included; its values are told apart by their float64 bits,
+    so -0.0 and 0.0 keep their own reprs. Any other column gives ``str(x)``
+    per cell, quoted as the csv module quotes it: a field holding ``,``,
+    ``"``, ``\\r`` or ``\\n`` (or an empty field ``lone`` in its row) goes in
+    double quotes with its quotes doubled.
+    """
+    if isinstance(column, np.ndarray):
+        bits, inverse = np.unique(column.astype(float).view(np.int64), return_inverse=True)
+        text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+        return text[inverse].tolist()
+    cells = list(map(str, column))
+    quoted = {s: '"' + s.replace('"', '""') + '"' for s in set(cells)
+              if (lone and not s) or any(ch in s for ch in ',"\r\n')}
+    return [quoted.get(s, s) for s in cells] if quoted else cells
+
+
 def _write_csv(out_dir, name, header, blocks):
     """Write a CSV artifact and return its name. ``blocks`` yields groups of
-    rows, each as a sequence of equal-length columns. A numpy array column is
-    written as ``repr(float(x))`` per element, numpy integers and float32
-    included; any other column holds str, int or float cells, written as they
-    are (a float as its repr)."""
+    rows, each as a sequence of equal-length columns. A numpy array column
+    is written as ``repr(float(x))`` per element; any other column as
+    ``str()`` writes each cell, quoted as the csv module quotes it (see
+    ``_csv_fields``). Lines end in ``\\r\\n``, as the csv module ends them."""
     with open(os.path.join(out_dir, name), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
+        fh.write(",".join(_csv_fields(header, len(header) == 1)) + "\r\n")
         for columns in blocks:
-            w.writerows(zip(*(c.astype(float).tolist() if isinstance(c, np.ndarray)
-                              else c for c in columns)))
+            rows = zip(*(_csv_fields(c, len(columns) == 1) for c in columns))
+            fh.writelines(",".join(row) + "\r\n" for row in rows)
     return name
 
 

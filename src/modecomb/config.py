@@ -31,6 +31,7 @@ import yaml
 
 from . import calibration as cal
 from .errors import ConfigError, GainBelowUnityError
+from .gaussian_state import histogram_bins
 from .modesys import MirrorSpec, ModeSpec, ModeSystem, PumpTone
 
 TWO_PI = 2.0 * math.pi
@@ -362,11 +363,10 @@ def validate_config(doc, config_path="<config>", digest=""):
         section["histogram_detunings"] = sorted(set(_indices(
             [count // 2] if hist is None else hist, "twomode.histogram_detunings",
             count, "sweep index")))
-        width, span = section["histogram_bin"], section["histogram_span"]
-        bins = 2.0 * span / width
-        if round(bins) < 1 or abs(bins - round(bins)) > 1e-9 * bins:
-            _fail("twomode.histogram_bin", f"{width!r} does not split the window "
-                                           f"[-{span!r}, {span!r}] into whole bins")
+        try:
+            histogram_bins(section["histogram_bin"], section["histogram_span"])
+        except ValueError as exc:
+            _fail("twomode.histogram_bin", str(exc))
     elif pipeline == "multimode":
         if len(probe_indices) < 2:
             _fail("probes.mode_indices", "multimode analysis needs at least "

@@ -7,6 +7,7 @@ V >= 0 for real symmetric V.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -312,6 +313,16 @@ def sample(v, n_samples, seed):
     return QuadratureSamples(v.n_modes, data)
 
 
+@lru_cache(maxsize=None)
+def _below_diagonal(d, r):
+    """Read-only row and column indices of the strictly lower triangle of a
+    d x r matrix, shared by every call."""
+    below = np.tril_indices(d, -1, r)
+    for arr in below:
+        arr.flags.writeable = False
+    return below
+
+
 def sample_covariance(v, n_rows, seed):
     """Sample covariance of simulated records, drawn without the records.
 
@@ -341,7 +352,7 @@ def sample_covariance(v, n_rows, seed):
     r = min(d, dof)
     rng = np.random.default_rng(seed)
     a = np.zeros((k, d, r))
-    below = np.tril_indices(d, -1, r)
+    below = _below_diagonal(d, r)
     a[:, below[0], below[1]] = rng.standard_normal((k, below[0].size))
     diag = np.arange(r)
     a[:, diag, diag] = np.sqrt(rng.chisquare(dof - diag, size=(k, r)))
@@ -446,6 +457,20 @@ class PairHistogram:
     outside: np.ndarray
 
 
+def histogram_bins(bin_width, span):
+    """Number of bins of width ``bin_width`` that split [-span, span] whole.
+
+    A width that leaves a partial bin, or is wider than the window, raises
+    ValueError.
+    """
+    bins = 2.0 * span / bin_width
+    n_bins = round(bins)
+    if n_bins < 1 or abs(bins - n_bins) > 1e-9 * bins:
+        raise ValueError(f"{bin_width!r} does not split the window "
+                         f"[-{span!r}, {span!r}] into whole bins")
+    return n_bins
+
+
 def _bin_probabilities(blocks, edges):
     """Probability of each bin of a zero-mean bivariate normal, per 2 x 2 block.
 
@@ -480,7 +505,9 @@ def histogram2d_subtracted(v_on, v_off, pair, rows, seed, bin_width=0.25, span=6
     is one interval); every interval contributes ``rows`` rows per state.
     Returns {label: PairHistogram} for the axis pairs "I+I-", "Q+Q-" and
     "I+Q-"; subtract per bin. A row enters a bin only if both of its values
-    lie in [-span, span]; bins are uniform.
+    lie in [-span, span]; the bins are uniform, and a ``bin_width`` that
+    does not split that window into whole bins raises ValueError
+    (``histogram_bins``).
 
     The counts have exactly the distribution of binning ``sample`` records
     with ``np.histogram2d``, but each axis pair is an independent draw: per
@@ -489,12 +516,14 @@ def histogram2d_subtracted(v_on, v_off, pair, rows, seed, bin_width=0.25, span=6
     and ``rng.multinomial`` draws its intervals' rows over them. Identical
     covariances are merged first, so a run without drift draws one table
     per axis pair and state. The rule is certified only where the narrow
-    axis of the pair's 2 x 2 block is at least a bin wide; a narrower one
-    raises NumericalError. Identical seeds give identical counts.
+    axis of the pair's 2 x 2 block is at least one bin spacing wide; a
+    narrower one raises NumericalError. Identical seeds give identical
+    counts.
     """
     j, k = _mode_pair(pair, v_on.n_modes)
-    n_bins = max(1, int(round(2.0 * span / bin_width)))
+    n_bins = histogram_bins(bin_width, span)
     edges = np.linspace(-span, span, n_bins + 1)
+    spacing = 2.0 * span / n_bins
     axes = {"I+I-": [2 * j, 2 * k], "Q+Q-": [2 * j + 1, 2 * k + 1], "I+Q-": [2 * j, 2 * k + 1]}
     rng = np.random.default_rng(seed)
     counts = np.zeros((len(axes), 2, n_bins, n_bins))
@@ -509,11 +538,11 @@ def histogram2d_subtracted(v_on, v_off, pair, rows, seed, bin_width=0.25, span=6
             blocks = distinct[:, ab][:, :, ab]
             a, b, c = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 0, 1]
             narrow = (a + b) / 2.0 - np.hypot((a - b) / 2.0, c)
-            if not np.all(narrow >= bin_width**2):
+            if not np.all(narrow >= spacing**2):
                 sd = np.sqrt(np.clip(np.min(narrow), 0.0, None))
                 raise NumericalError(
                     f"{label} pump-{('on', 'off')[s]} block has a narrow-axis SD "
-                    f"of {sd:.3g}, below the bin width {bin_width}; the bin rule "
+                    f"of {sd:.3g}, below the bin width {spacing:.6g}; the bin rule "
                     f"is not certified there")
             p = _bin_probabilities(blocks, edges).reshape(len(blocks), -1)
             p /= np.maximum(p.sum(axis=1), 1.0)[:, None]  # rounding may push the sum past 1

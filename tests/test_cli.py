@@ -420,9 +420,20 @@ def test_scattering_tables_match_per_element_calls(tmp_path, monkeypatch):
             assert list(csv.reader(fh))[1:] == want, name
 
 
+def csv_writer_reference(out_dir, name, header, blocks):
+    # the csv.writer form of cli._write_csv, kept as the reference for its bytes
+    with open(os.path.join(out_dir, name), "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for columns in blocks:
+            w.writerows(zip(*(c.astype(float).tolist() if isinstance(c, np.ndarray)
+                              else c for c in columns)))
+    return name
+
+
 def test_write_csv_cell_rule(tmp_path):
-    # a numpy array column is written as repr(float(x)); a list column as csv
-    # writes str, int and float, which for np.float64 is the same repr
+    # a numpy array column is written as repr(float(x)); a list column as
+    # str() writes its cells, which for float and np.float64 is the same repr
     floats = [0.1, 3.0, 0.0, -0.0, np.inf, -np.inf, np.nan, 1e16, 1e-5]
     _write_csv(tmp_path, "cells.csv", ["s", "i", "f", "f64", "a64", "ai", "a32"], [
         (["a", "b,c"], [3, -2], floats[:2], [np.float64(0.1), np.float64(-0.0)],
@@ -441,6 +452,49 @@ def test_write_csv_cell_rule(tmp_path):
         b"x,0,nan,nan,nan,4.0,nan\r\n"
         b"x,0,1e+16,1e+16,1e+16,5.0,1.0000000272564224e+16\r\n"
         b"x,0,1e-05,1e-05,1e-05,6.0,9.999999747378752e-06\r\n")
+    # repeated values inside numpy columns, list cells csv must quote, an
+    # empty block, a lone empty field and blocks given as a generator
+    repeats = np.array([0.0, -0.0, np.nan, 0.0, -np.nan, np.inf, -np.inf, np.nan, -0.0, np.inf])
+    tables = [
+        (["x", "y,z", 'q"uote', "line\nfeed", "carriage\rreturn", ""], lambda: [
+            (["", ",", '"', "\n", "a\r\nb", "", ",", '""', "plain", "\r"],
+             list(range(10)), repeats, repeats.astype(np.float32),
+             np.array([3, -2, 3, 0, 3, -2, 0, 0, 7, 3]), repeats.tolist()),
+            ([], [], np.array([]), np.array([], np.float32), np.array([], int), []),
+            (["a", "a"], [1, 1], repeats[::-5], repeats[1::-1].astype(np.float32),
+             np.array([1, 1], np.int32), [np.float64(0.1), -0.0]),
+        ]),
+        (["lone"], lambda: [([""],), (["", "x", ""],), (np.array([-0.0, 0.0, -0.0]),)]),
+        ([""], lambda: ((c,) for c in ([1, ""], np.arange(3.0), ["", '"']))),
+        ([], lambda: [()]),
+    ]
+    for i, (header, blocks) in enumerate(tables):
+        _write_csv(tmp_path, f"new{i}.csv", header, blocks())
+        csv_writer_reference(tmp_path, f"ref{i}.csv", header, blocks())
+        assert (tmp_path / f"new{i}.csv").read_bytes() == (tmp_path / f"ref{i}.csv").read_bytes(), i
+
+
+@pytest.mark.parametrize("template", [SMALL_TWOMODE, SMALL_MULTIMODE, SMALL_CALIBRATION,
+                                      SMALL_SCATTERING],
+                         ids=["twomode", "multimode", "calibration", "scattering"])
+def test_every_table_matches_the_csv_writer(tmp_path, monkeypatch, template):
+    # every table a pipeline writes, written by both writers, in the same bytes
+    reference = tmp_path / "reference"
+    reference.mkdir()
+    written = []
+
+    def both(out_dir, name, header, blocks):
+        blocks = list(blocks)
+        csv_writer_reference(reference, name, header, blocks)
+        written.append(name)
+        return _write_csv(out_dir, name, header, blocks)
+
+    monkeypatch.setattr(modecomb.cli, "_write_csv", both)
+    report = run_scenario(write_config(tmp_path, template))
+    assert written and sorted(written) == sorted(n for n in report.files if n.endswith(".csv"))
+    for name in written:
+        with open(os.path.join(report.output_dir, name), "rb") as fh:
+            assert fh.read() == (reference / name).read_bytes(), name
 
 
 # a lossless pump-coupled pair; the second pump matches no pair and only

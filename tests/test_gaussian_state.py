@@ -403,7 +403,7 @@ def test_bin_probabilities_match_bivariate_normal_rectangles(block):
     assert np.max(np.abs(got - rectangle_probabilities(block, edges))) <= 1e-10
 
 
-@pytest.mark.parametrize("bin_width, span", [(0.25, 6.0), (0.35, 6.0), (0.5, 2.0), (0.3, 1.7)])
+@pytest.mark.parametrize("bin_width, span", [(0.25, 6.0), (0.375, 6.0), (0.5, 2.0), (0.3, 1.8)])
 def test_histogram2d_subtracted_matches_pooled_histogram2d(bin_width, span):
     # Drawn counts and the records oracle (``sample``, then np.histogram2d
     # per interval) must both fit the reference rows * p of two
@@ -497,6 +497,14 @@ def test_drift_stack_draws_one_table_per_interval():
     for label in AXES:
         assert np.array_equal(merged[label].counts, single[label].counts)
         assert np.array_equal(merged[label].expected, single[label].expected)
+
+
+@pytest.mark.parametrize("bin_width, span", [(0.35, 6.0), (0.3, 1.7), (13.0, 6.0)])
+def test_partial_bins_are_refused(bin_width, span):
+    # 0.35 on +-6 would round to 34 bins of 0.353, 0.3 on +-1.7 to 11 of 0.309
+    v = two_mode_squeezed_covariance(0.3)
+    with pytest.raises(ValueError, match="into whole bins"):
+        histogram2d_subtracted(v, v, (0, 1), 100, seed=1, bin_width=bin_width, span=span)
 
 
 def test_narrow_state_is_refused():
