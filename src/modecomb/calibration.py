@@ -372,21 +372,6 @@ class CalibrationStore:
     # same fields as a Planck fit, so the same uniform chain
     amplifier = PlanckFitResult.amplifier
 
-    def to_json(self, path):
-        payload = {
-            "gain": self.gain,
-            "added_photons": self.added_photons,
-            "sigma_gain": self.sigma_gain,
-            "sigma_noise": self.sigma_noise,
-            "cov_gain_noise": self.cov_gain_noise,
-            "eps": self.eps,
-            "sigma_eps": self.sigma_eps,
-            "meta": self.meta,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     @classmethod
     def from_json(cls, path):
         with open(path) as fh:

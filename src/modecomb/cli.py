@@ -8,12 +8,12 @@ of artifacts (``report.json`` plus CSV tables) into the output directory.
 Pipelines
 ---------
 ``twomode``
-    Pump-probe detuning sweep on one mode pair.  Pump-on and pump-off
-    records alternate in chopped blocks; each detuning reports the raw
-    and pump-referenced squeezing ratios of their pooled sample
-    covariances and, for selected detunings, background-subtracted 2D
-    quadrature histograms, drawn from their exact bin probabilities with
-    the expected counts beside them.
+    Pump-probe detuning sweep on one mode pair.  Each interval is four
+    chopped blocks of ``n_samples`` rows, two pump-on and two pump-off;
+    each detuning reports the raw and pump-referenced squeezing ratios of
+    their pooled sample covariances and, for selected detunings,
+    background-subtracted 2D quadrature histograms, drawn from their exact
+    bin probabilities with the expected counts beside them.
 ``multimode``
     Repeated measurement intervals of the full comb output.  Every
     interval's sample covariance is drawn, de-embedded through the
@@ -46,7 +46,7 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -106,34 +106,30 @@ class RunReport:
         }
 
 
-def _jsonify(obj):
+def _jsonify(obj, where):
+    """``obj`` with numpy values as Python ones; a non-finite float raises
+    NumericalError naming its dotted path, which starts at ``where``."""
     if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
+        return {str(k): _jsonify(v, f"{where}.{k}") for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        return [_jsonify(v, f"{where}[{i}]") for i, v in enumerate(obj)]
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        obj = float(obj)
+        if not math.isfinite(obj):
+            raise NumericalError(f"non-finite value in {where}")
+        return obj
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
     return obj
 
 
-def _check_finite(obj, where="metrics"):
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            _check_finite(v, f"{where}.{k}")
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            _check_finite(v, f"{where}[{i}]")
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        raise NumericalError(f"non-finite value in {where}")
-
-
 def _write_json(path, payload):
+    """Write a JSON artifact; a non-finite value raises before the file opens."""
+    payload = _jsonify(payload, os.path.basename(path))
     with open(path, "w") as fh:
-        json.dump(_jsonify(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -179,7 +175,7 @@ def _write_covariance(out_dir, name, v):
     return _write_csv(out_dir, name, ["row"] + labels, [(labels, *matrix.T)])
 
 
-def _couplings_for(scfg, pumps=None, tolerance=None):
+def _couplings_for(scfg, pumps=None):
     """Four-wave matches and complex pair couplings for the configured comb.
 
     Explicit per-pump strengths (epsilon_hz) override the microscopic
@@ -187,8 +183,7 @@ def _couplings_for(scfg, pumps=None, tolerance=None):
     """
     modes = scfg.system.modes
     pumps = scfg.pumps if pumps is None else pumps
-    tol = scfg.tolerance if tolerance is None else tolerance
-    matches = match_four_wave(modes, pumps, tolerance=tol)
+    matches = match_four_wave(modes, pumps, tolerance=scfg.tolerance)
     if scfg.pump_eps is not None:
         couplings = {}
         for mt in matches:
@@ -238,7 +233,7 @@ def _run_twomode(scfg, out_dir):
             f"{pair[0]} and {pair[1]}; check the pump frequencies")
     amp = scfg.amplifier.amplifier(n)
 
-    blocks = max(2, 2 * int(round(sec["chop_hz"] * scfg.interval_seconds / 2.0)))
+    blocks = 4  # chopped blocks per interval, 2 pump-on and 2 pump-off
     detunings = np.linspace(sec["detuning_start_hz"], sec["detuning_stop_hz"],
                             sec["detuning_count"])
 
@@ -544,7 +539,7 @@ def _run_calibration(scfg, out_dir):
             sigma_eps=corr_fit.sigma_eps,
             meta=meta,
         )
-    store.to_json(os.path.join(out_dir, "calibration.json"))
+    _write_json(os.path.join(out_dir, "calibration.json"), asdict(store))
     files.append("calibration.json")
     metrics["calibration_file"] = "calibration.json"
     return metrics, files
@@ -571,7 +566,6 @@ def _run_scattering(scfg, out_dir):
     if start is None:
         start, stop = nominal - 60.0e3, nominal + 60.0e3
     spacings = np.linspace(start, stop, sec["spacing_count"])
-    tol = None if sec["tolerance_hz"] is None else TWO_PI * sec["tolerance_hz"]
 
     def comb_at(spacing):
         scale = spacing / nominal
@@ -583,7 +577,7 @@ def _run_scattering(scfg, out_dir):
 
     def one_spacing(s_idx):
         pumps = comb_at(spacings[s_idx])
-        matches, couplings = _couplings_for(scfg, pumps=pumps, tolerance=tol)
+        matches, couplings = _couplings_for(scfg, pumps=pumps)
         probes, _ = assign_probe_frequencies(modes, matches, couplings)
         return len(matches), _network(scfg, couplings, probe_omegas=probes)
 
@@ -656,8 +650,7 @@ def run_scenario(config_path):
         if created and not os.listdir(scfg.output_dir):
             os.rmdir(scfg.output_dir)
         raise
-    metrics = _jsonify(metrics)
-    _check_finite(metrics)
+    metrics = _jsonify(metrics, "metrics")
     report = RunReport(
         pipeline=scfg.pipeline,
         config_digest=digest,
@@ -721,7 +714,6 @@ amplifier:
 sampling:
   n_samples: 20000        # per chopped block
   interval_count: 10
-  interval_seconds: 2.0
   drift_phase: false
 
 twomode:
@@ -729,7 +721,6 @@ twomode:
   detuning_start_hz: -40.0e3
   detuning_stop_hz: 40.0e3
   detuning_count: 9
-  chop_hz: 2.0
   histogram_detunings: [4]   # indices into the detuning sweep
   histogram_bin: 0.25
   histogram_span: 6.0
@@ -770,7 +761,6 @@ environment:
 sampling:
   n_samples: 100000
   interval_count: 75
-  interval_seconds: 2.0
   drift_phase: false
 
 multimode: {}

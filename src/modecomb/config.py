@@ -69,8 +69,7 @@ SCHEMA = {
     "environment": (dict, {}, {"temp_k": (float, 0.0, 0.0)}),
     "amplifier": (dict, None, {
         "calibration_json": (str, None, None),
-        "gain_db": (float, None, None),
-        "gain_linear": (float, None, POSITIVE),
+        "gain_db": (float, None, None),  # required without calibration_json
         "added_photons": (float, None, 0.0),  # required without calibration_json
         "sigma_gain_rel": (float, 0.0, 0.0),
         "sigma_noise_photons": (float, 0.0, 0.0),
@@ -79,7 +78,6 @@ SCHEMA = {
     "sampling": (dict, {}, {
         "n_samples": (int, 100000, 2),
         "interval_count": (int, 75, 1),
-        "interval_seconds": (float, 2.0, POSITIVE),
         "drift_phase": (bool, False, None),
     }),
     "probes": (dict, {}, {"mode_indices": (list, None, None)}),  # default: all modes
@@ -88,7 +86,6 @@ SCHEMA = {
         "detuning_start_hz": (float, -40.0e3, None),
         "detuning_stop_hz": (float, 40.0e3, None),
         "detuning_count": (int, 9, 1),
-        "chop_hz": (float, 2.0, POSITIVE),
         "histogram_bin": (float, 0.25, POSITIVE),
         "histogram_span": (float, 6.0, POSITIVE),
         "histogram_detunings": (list, None, None),  # default: the middle detuning
@@ -125,7 +122,6 @@ SCHEMA = {
         "spacing_count": (int, 25, 1),
         "ref_out": (int, 0, 0),
         "ref_in": (int, 0, 0),
-        "tolerance_hz": (float, None, POSITIVE),
     }),
 }
 
@@ -241,7 +237,6 @@ class ScenarioConfig:
     amplifier: Optional[cal.CalibrationStore]
     n_samples: int
     interval_count: int
-    interval_seconds: float
     drift_phase: bool
     probe_indices: list
     section: dict
@@ -280,12 +275,17 @@ def _amplifier(amp, raw):
         except (OSError, ValueError, TypeError, KeyError) as exc:
             _fail("amplifier.calibration_json",
                   f"cannot load calibration from {path!r}: {exc}")
+        # JSON allows NaN, Infinity and null where the chain needs numbers
+        for name, value in vars(store).items():
+            if name == "meta" or (value is None and name in ("eps", "sigma_eps")):
+                continue
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                _fail("amplifier.calibration_json",
+                      f"{name} in {path!r} must be a finite number, got {value!r}")
     else:
-        if (amp["gain_db"] is None) == (amp["gain_linear"] is None):
-            _fail("amplifier", "give exactly one of gain_db or gain_linear")
-        gain = (amp["gain_linear"] if amp["gain_db"] is None
-                else 10.0 ** (amp["gain_db"] / 10.0))
-        _require(amp, "amplifier", "added_photons")
+        _require(amp, "amplifier", "gain_db", "added_photons")
+        gain = 10.0 ** (amp["gain_db"] / 10.0)
         store = cal.CalibrationStore(
             gain=gain,
             added_photons=amp["added_photons"],
@@ -416,7 +416,6 @@ def validate_config(doc, config_path="<config>", digest=""):
         amplifier=amplifier,
         n_samples=sampling["n_samples"],
         interval_count=sampling["interval_count"],
-        interval_seconds=sampling["interval_seconds"],
         drift_phase=sampling["drift_phase"],
         probe_indices=probe_indices,
         section=section,

@@ -232,7 +232,7 @@ def _damped_step(hess, grad, damp, scale):
 
 
 def _iq_state(v, rows, angles):
-    """f, its gradient and Hessian, and whether tr(QQ) > tr(II), per start.
+    """f, its gradient and its Hessian, per start.
 
     Start i rotates ``v[rows[i]]`` by ``angles[i]``.  The gathered and the
     rotated stacks are dropped as soon as they are used, so that at most
@@ -240,9 +240,7 @@ def _iq_state(v, rows, angles):
     """
     f, w = _iq_objective(v[rows], angles)
     grad, hess = _iq_derivatives(w)
-    heavy = (np.trace(w[..., 1::2, 1::2], axis1=-2, axis2=-1)
-             > np.trace(w[..., 0::2, 0::2], axis1=-2, axis2=-1))
-    return f, grad, hess, heavy
+    return f, grad, hess
 
 
 def _decorrelate_stack(v: CovarianceMatrix):
@@ -250,15 +248,14 @@ def _decorrelate_stack(v: CovarianceMatrix):
 
     The Newton loop runs on all K B starts at once, each against its own
     matrix; returns the rotated stack W, the (K, N) angles and the K
-    residuals.  Of each start's rotated matrix only f, its derivatives and
-    the tr(QQ) > tr(II) test are kept.
+    residuals.  Of each start only f and its derivatives are kept.
     """
     k, n = v.v.shape[0], v.n_modes
     theta = _iq_starts(v)
     starts = theta.shape[1]
     theta = theta.reshape(k * starts, n)
     owner = np.repeat(np.arange(k), starts)
-    f, grad, hess, heavy = _iq_state(v.v, owner, theta)
+    f, grad, hess = _iq_state(v.v, owner, theta)
     gnorm = np.linalg.norm(grad, axis=-1)
     scale = np.sum(v.v**2, axis=(-2, -1))[owner]
     damp = np.full(theta.shape[0], _NEWTON_DAMP_START)
@@ -268,7 +265,7 @@ def _decorrelate_stack(v: CovarianceMatrix):
         if idx.size == 0:
             break
         trial = theta[idx] + _damped_step(hess[idx], grad[idx], damp[idx], scale[idx])
-        f_trial, g_trial, h_trial, heavy_trial = _iq_state(v.v, owner[idx], trial)
+        f_trial, g_trial, h_trial = _iq_state(v.v, owner[idx], trial)
         gn_trial = np.linalg.norm(g_trial, axis=-1)
         # near the optimum f stops resolving Newton's decrease long before
         # the angles converge; there a step that keeps f within its rounding
@@ -278,7 +275,7 @@ def _decorrelate_stack(v: CovarianceMatrix):
             (f_trial <= level) & (gn_trial <= 0.5 * gnorm[idx])
         )
         ok, bad = idx[better], idx[~better]
-        theta[ok], f[ok], heavy[ok] = trial[better], f_trial[better], heavy_trial[better]
+        theta[ok], f[ok] = trial[better], f_trial[better]
         grad[ok], hess[ok], gnorm[ok] = g_trial[better], h_trial[better], gn_trial[better]
         damp[ok] = np.maximum(damp[ok] / 10.0, _NEWTON_DAMP_MIN)
         damp[bad] *= 100.0
@@ -291,7 +288,8 @@ def _decorrelate_stack(v: CovarianceMatrix):
     # turning every mode by pi/2 swaps the II and QQ blocks and maps X to
     # -X^T, so f ties exactly; keep the twin whose I quadratures carry more
     # variance, as own_iq_angles does per mode
-    angles[heavy[best]] += 0.5 * np.pi
+    d = np.diagonal(_iq_objective(v.v, angles)[1], axis1=1, axis2=2)
+    angles[d[:, 1::2].sum(axis=1) > d[:, 0::2].sum(axis=1)] += 0.5 * np.pi
     angles = np.mod(angles + 0.5 * np.pi, np.pi) - 0.5 * np.pi
     _, w = _iq_objective(v.v, angles)
     ii, qq, iq = (w[:, i::2, j::2].reshape(k, -1) for i, j in ((0, 0), (1, 1), (0, 1)))

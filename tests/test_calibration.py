@@ -1,5 +1,7 @@
 """Gain and noise calibration fits plus the assumed-temperature sweep."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy.constants import hbar as HBAR
@@ -29,6 +31,7 @@ from modecomb import (
     scattering_matrices,
     thermal_covariance,
 )
+from modecomb.cli import _write_json
 
 TWO_PI = 2.0 * np.pi
 
@@ -271,7 +274,7 @@ def test_calibration_store_roundtrip(tmp_path):
         meta={"source": "unit-test"},
     )
     path = tmp_path / "cal.json"
-    store.to_json(path)
+    _write_json(path, asdict(store))
     back = CalibrationStore.from_json(path)
     assert back == store
     amp = back.amplifier(4)

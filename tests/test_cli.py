@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,7 +243,7 @@ def test_twomode_histograms_match_pooled_records(tmp_path):
 
     # the model covariances are written for the middle detuning, index 1
     v = {True: model("covariance_on_model.csv"), False: model("covariance_off_model.csv")}
-    seed, d_idx, blocks, rows = 11, 1, 4, 10_000  # 2 Hz chopping over 2 s intervals
+    seed, d_idx, blocks, rows = 11, 1, 4, 10_000  # 2 pump-on and 2 pump-off blocks
     phis = [np.random.default_rng([seed, 1, d_idx, i]).uniform(0.0, 2.0 * np.pi)
             for i in range(2)]
     stacks = {on: drift_stack(v[on], phis) for on in v}
@@ -660,6 +661,27 @@ def test_insufficient_data_exits_three(tmp_path):
     cfg = cfg[: cfg.index("  planck:")] + cfg[cfg.index("  correlation:") :]
     path = write_config(tmp_path, cfg)
     assert main(["run", str(path)]) == 3
+
+
+def test_non_finite_entanglement_table_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(modecomb.cli, "significance", lambda values, sigmas: float("nan"))
+    path = write_config(tmp_path, SMALL_MULTIMODE)
+    assert main(["run", str(path)]) == 3
+    assert ("non-finite value in entanglement_table.json.bipartitions[0].weighted_significance"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "entanglement_table.json").exists()
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_non_finite_calibration_file_exits_three(tmp_path, capsys, monkeypatch):
+    fit = modecomb.calibration.planck_fit
+    monkeypatch.setattr(modecomb.calibration, "planck_fit", lambda *args, **kwargs: replace(
+        fit(*args, **kwargs), cov_gain_noise=float("inf")))
+    path = write_config(tmp_path, SMALL_CALIBRATION)
+    assert main(["run", str(path)]) == 3
+    assert "non-finite value in calibration.json.cov_gain_noise" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "calibration.json").exists()
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_non_finite_data_exits_two(tmp_path):

@@ -1,9 +1,12 @@
 """Scenario validation: every rejection exits 2 and names its dotted path."""
 
+import json
+from dataclasses import asdict
+
 import pytest
 
 from modecomb import CalibrationStore
-from modecomb.cli import main
+from modecomb.cli import _write_json, main
 from test_cli import (
     SMALL_CALIBRATION,
     SMALL_MULTIMODE,
@@ -68,8 +71,7 @@ REJECTIONS = {
     "ref-out-beyond-2n": (SC, "spacing_count: 5", "spacing_count: 5\n  ref_out: 8",
                           "scattering.ref_out"),
     # rules that tie several fields together
-    "both-gains": (TM, TM_AMP, TM_AMP + "  gain_linear: 100.0\n", "amplifier"),
-    "no-gain": (TM, TM_AMP, "amplifier:\n", "amplifier"),
+    "no-gain": (TM, TM_AMP, "amplifier:\n", "amplifier.gain_db"),
     "gain-below-unity": (TM, "gain_db: 40.0", "gain_db: -3.0", "amplifier"),
     # sigma_gain * sigma_noise = 100 * 0.02 bounds the fit covariance
     "cov-gain-noise-beyond-sigmas": (TM, "sigma_noise_photons: 0.02",
@@ -103,6 +105,14 @@ REJECTIONS = {
     "section-of-another-pipeline": (SC, "spacing_count: 5", "spacing_count: 5\ntwomode:\n"
                                     "  pair: [0, 1]", "twomode"),
     "unknown-top-level-key": (SC, "seed: 1\n", "seed: 1\nbogus: 1\n", "bogus"),
+    # keys that only repeated another key are unknown
+    "gain-linear": (TM, TM_AMP, TM_AMP + "  gain_linear: 100.0\n", "amplifier.gain_linear"),
+    "scattering-tolerance": (SC, "spacing_count: 5", "spacing_count: 5\n  tolerance_hz: 1.0e3",
+                             "scattering.tolerance_hz"),
+    "chop-rate": (TM, "histogram_detunings: [1]", "histogram_detunings: [1]\n  chop_hz: 2.0",
+                  "twomode.chop_hz"),
+    "interval-seconds": (TM, "interval_count: 2", "interval_count: 2\n  interval_seconds: 2.0",
+                         "sampling.interval_seconds"),
 }
 
 # a misspelt key inside a section is refused, not replaced by its default
@@ -151,12 +161,31 @@ def test_one_column_data_exits_two(tmp_path, capsys, subsection):
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_calibration_file_with_a_non_psd_covariance_exits_two(tmp_path, capsys, command):
     store = tmp_path / "cal.json"
-    CalibrationStore(gain=1e4, added_photons=0.15, sigma_gain=100.0,
-                     sigma_noise=0.02, cov_gain_noise=50.0).to_json(store)
+    _write_json(store, asdict(CalibrationStore(gain=1e4, added_photons=0.15, sigma_gain=100.0,
+                                               sigma_noise=0.02, cov_gain_noise=50.0)))
     path = write_config(tmp_path, TM.replace(
         TM_AMP_BLOCK, f"amplifier:\n  calibration_json: {store}\n"))
     assert main([command, str(path)]) == 2
     assert ("config field 'amplifier.calibration_json': cov_gain_noise exceeds"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("name, value", [
+    ("gain", float("nan")), ("gain", float("inf")), ("gain", None), ("sigma_noise", None),
+    ("added_photons", True), ("cov_gain_noise", "0.0")],
+    ids=["gain-nan", "gain-inf", "gain-null", "sigma-noise-null", "bool", "string"])
+def test_calibration_file_number_that_is_not_finite_exits_two(
+        tmp_path, capsys, command, name, value):
+    # json reads NaN, Infinity and null; eps and sigma_eps alone may be null
+    store = tmp_path / "cal.json"
+    fields = {"gain": 1e4, "added_photons": 0.15, "eps": None, "sigma_eps": None}
+    store.write_text(json.dumps({**fields, name: value}))
+    path = write_config(tmp_path, TM.replace(
+        TM_AMP_BLOCK, f"amplifier:\n  calibration_json: {store}\n"))
+    assert main([command, str(path)]) == 2
+    assert (f"config field 'amplifier.calibration_json': {name} in"
             in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
