@@ -38,7 +38,6 @@ from .entanglement import (
     all_bipartitions,
     decorrelate_iq,
     entanglement_sigma,
-    interval_reports,
     ppt_min_eigenvalue,
     propagate_errors,
     significance,

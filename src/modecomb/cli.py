@@ -60,9 +60,8 @@ from .coupling_graph import (
     pair_couplings,
 )
 from .entanglement import (
-    all_bipartitions,
+    all_bipartition_reports,
     entanglement_sigma,
-    interval_reports,
     ppt_min_eigenvalue,
     propagate_errors,
     significance,
@@ -120,6 +119,8 @@ def _jsonify(obj, where):
         if not math.isfinite(obj):
             raise NumericalError(f"non-finite value in {where}")
         return obj
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
@@ -136,17 +137,19 @@ def _write_json(path, payload):
 def _csv_fields(column, lone=False):
     """The CSV fields of one column, each distinct value formatted once.
 
-    A numpy array column gives ``repr(float(x))`` per element, numpy integers
-    and float32 included; its values are told apart by their float64 bits,
-    so -0.0 and 0.0 keep their own reprs. Any other column gives ``str(x)``
-    per cell, quoted as the csv module quotes it: a field holding ``,``,
-    ``"``, ``\\r`` or ``\\n`` (or an empty field ``lone`` in its row) goes in
-    double quotes with its quotes doubled.
+    A numpy integer array column gives ``str(int(x))`` per element, any other
+    numpy array column ``repr(float(x))``, float32 included; floats are told
+    apart by their float64 bits, so -0.0 and 0.0 keep their own reprs. Any
+    other column gives ``str(x)`` per cell, quoted as the csv module quotes
+    it: a field holding ``,``, ``"``, ``\\r`` or ``\\n`` (or an empty field
+    ``lone`` in its row) goes in double quotes with its quotes doubled.
     """
     if isinstance(column, np.ndarray):
-        bits, inverse = np.unique(column.astype(float).view(np.int64), return_inverse=True)
-        text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
-        return text[inverse].tolist()
+        ints = column.dtype.kind in "iu"
+        keys, inverse = np.unique(column if ints else column.astype(float).view(np.int64),
+                                  return_inverse=True)
+        text = map(str, keys.tolist()) if ints else map(repr, keys.view(float).tolist())
+        return np.array(list(text), dtype=object)[inverse].tolist()
     cells = list(map(str, column))
     quoted = {s: '"' + s.replace('"', '""') + '"' for s in set(cells)
               if (lone and not s) or any(ch in s for ch in ',"\r\n')}
@@ -155,10 +158,9 @@ def _csv_fields(column, lone=False):
 
 def _write_csv(out_dir, name, header, blocks):
     """Write a CSV artifact and return its name. ``blocks`` yields groups of
-    rows, each as a sequence of equal-length columns. A numpy array column
-    is written as ``repr(float(x))`` per element; any other column as
-    ``str()`` writes each cell, quoted as the csv module quotes it (see
-    ``_csv_fields``). Lines end in ``\\r\\n``, as the csv module ends them."""
+    rows, each as a sequence of equal-length columns, whose cells
+    ``_csv_fields`` formats. Lines end in ``\\r\\n``, as the csv module ends
+    them."""
     with open(os.path.join(out_dir, name), "w", newline="") as fh:
         fh.write(",".join(_csv_fields(header, len(header) == 1)) + "\r\n")
         for columns in blocks:
@@ -276,9 +278,9 @@ def _run_twomode(scfg, out_dir):
 
     rows = [one_detuning(d_idx) for d_idx in range(len(detunings))]
 
-    keys = ("r_e", "r_p", "r_e_model", "r_p_model")
-    files = [_write_csv(out_dir, "squeezing_vs_detuning.csv", ("detuning_hz",) + keys,
-                        [(detunings, *([row[key] for row in rows] for key in keys))])]
+    ratios = {key: [row[key] for row in rows] for key in ("r_e", "r_p", "r_e_model", "r_p_model")}
+    files = [_write_csv(out_dir, "squeezing_vs_detuning.csv", ("detuning_hz", *ratios),
+                        [(detunings, *ratios.values())])]
 
     def histogram_columns(hists):
         # one block per axis pair, so only one pair's rows are built at a time;
@@ -287,7 +289,7 @@ def _run_twomode(scfg, out_dir):
         for axes, h in sorted(hists.items()):
             h_on, h_off = h.counts.reshape(2, -1)
             r, c = np.indices(h.counts.shape[1:]).reshape(2, -1)
-            yield ([axes] * r.size, r.tolist(), c.tolist(), h.edges[r], h.edges[c],
+            yield ([axes] * r.size, r, c, h.edges[r], h.edges[c],
                    h_on, h_off, h_on - h_off, *np.round(h.expected, 6).reshape(2, -1))
 
     for d_idx in sec["histogram_detunings"]:
@@ -302,14 +304,11 @@ def _run_twomode(scfg, out_dir):
               for name, key in (("covariance_on_model.csv", "v_on"),
                                 ("covariance_off_model.csv", "v_off"))]
 
-    r_p = [row["r_p"] for row in rows]
+    r_p = ratios["r_p"]
     best = int(np.argmin(r_p))
     metrics = {
         "detunings_hz": [float(d) for d in detunings],
-        "r_e": [row["r_e"] for row in rows],
-        "r_p": r_p,
-        "r_e_model": [row["r_e_model"] for row in rows],
-        "r_p_model": [row["r_p_model"] for row in rows],
+        **ratios,
         "r_p_best": r_p[best],
         "r_p_best_detuning_hz": float(detunings[best]),
         "samples_per_block": scfg.n_samples,
@@ -352,41 +351,37 @@ def _run_multimode(scfg, out_dir):
                              sem=covariance_sem(v_hat, scfg.n_samples))
     # interval objectives only feed averages, so a loose bracket width
     # keeps the per-interval cost low
-    recs = reconstruct_intervals(deamplify(v_hat, amp), sigma=sigma,
-                                 t_width=1e-3, max_iter=30000)
-    v_rec = CovarianceMatrix(n_sub, np.array([rec.v.v for rec in recs]))
-    reports = interval_reports(v_rec)
-    angles = np.array([reps[0].angles for reps in reports])
+    rec = reconstruct_intervals(deamplify(v_hat, amp), sigma=sigma,
+                                t_width=1e-3, max_iter=30000)
+    reports = all_bipartition_reports(rec.v)
 
-    v_rec_mean = CovarianceMatrix(n_sub, np.mean(v_rec.v, axis=0))
+    v_rec_mean = CovarianceMatrix(n_sub, np.mean(rec.v.v, axis=0))
     v_hat_mean = CovarianceMatrix(n_sub, np.mean(v_hat.v, axis=0))
-    ppt_lambda = {bp.label: ppt_min_eigenvalue(v_rec_mean, bp)
-                  for bp in all_bipartitions(n_sub)}
+    # one sigma per interval and bipartition, shape (K, B)
+    h, g = (np.stack([getattr(rep, x) for rep in reports], axis=1) for x in "hg")
+    sigmas = entanglement_sigma(sigma[:, None], h, g, reports[0].angles[:, None])
 
     table = {"n_intervals": scfg.interval_count, "bipartitions": []}
-    sig_w = {}
-    for b, label in enumerate(ppt_lambda):
-        values = [reps[b].value for reps in reports]
-        sigmas = entanglement_sigma(
-            sigma, np.array([reps[b].h for reps in reports]),
-            np.array([reps[b].g for reps in reports]), angles).tolist()
-        sig_w[label] = significance(values, sigmas)
+    sig_w, ppt_lambda = {}, {}
+    for rep, sig in zip(reports, sigmas.T):
+        label = rep.bipartition.label
+        ppt_lambda[label] = ppt_min_eigenvalue(v_rec_mean, rep.bipartition)
+        sig_w[label] = significance(rep.value, sig)
         table["bipartitions"].append({
             "label": label,
-            "svl_mean": float(np.mean(values)),
+            "svl_mean": float(np.mean(rep.value)),
             "weighted_significance": sig_w[label],
             "ppt_lambda_mean_state": ppt_lambda[label],
-            "values": values,
-            "sigmas": sigmas,
+            "values": rep.value,
+            "sigmas": sig,
         })
 
-    flags = [sorted({f for rep in reps for f in rep.flags} | set(rec.flags))
-             for rec, reps in zip(recs, reports)]
-    table["intervals"] = [{"interval": i, "iq_residual": reps[0].iq_residual,
-                           "reconstruction_objective": rec.objective,
-                           "reconstruction_t_lower": rec.t_lower,
-                           "flags": flags[i]}
-                          for i, (rec, reps) in enumerate(zip(recs, reports))]
+    flags = [sorted(set(rec_flags).union(*(rep.flags[i] for rep in reports)))
+             for i, rec_flags in enumerate(rec.flags)]
+    table["intervals"] = [{"interval": i, "iq_residual": reports[0].iq_residual[i],
+                           "reconstruction_objective": rec.objective[i],
+                           "reconstruction_t_lower": rec.t_lower[i], "flags": fl}
+                          for i, fl in enumerate(flags)]
     flag_counts = Counter(flag for fl in flags for flag in fl)
 
     _write_json(os.path.join(out_dir, "entanglement_table.json"), table)
@@ -397,17 +392,15 @@ def _run_multimode(scfg, out_dir):
                         ("covariance_measured_mean.csv", v_hat_mean),
                         ("covariance_reconstructed_mean.csv", v_rec_mean))]
 
-    objectives = [rec.objective for rec in recs]
     metrics = {
         "mode_indices": list(idx),
         "weighted_significance": sig_w,
         "max_weighted_significance": max(sig_w.values()),
         "ppt_lambda_mean_state": ppt_lambda,
-        "reconstruction_objective_mean": float(np.mean(objectives)),
-        "reconstruction_objective_max": float(np.max(objectives)),
-        "reconstruction_gap_max": max(rec.objective - rec.t_lower
-                                      for rec in recs),
-        "intervals_converged": int(sum(rec.converged for rec in recs)),
+        "reconstruction_objective_mean": float(np.mean(rec.objective)),
+        "reconstruction_objective_max": float(np.max(rec.objective)),
+        "reconstruction_gap_max": float(np.max(rec.objective - rec.t_lower)),
+        "intervals_converged": int(np.sum(rec.converged)),
         "intervals_flagged": sum(bool(fl) for fl in flags),
         "flag_counts": dict(flag_counts),
         "interval_count": scfg.interval_count,
@@ -598,7 +591,7 @@ def _run_scattering(scfg, out_dir):
     files = [_write_csv(
         out_dir, "scattering_sweep.csv",
         ["spacing_hz", "n_matches", "out", "in", "mag_db", "phase_rad"],
-        [(np.repeat(spacings, len(out)), np.repeat(n_matches, len(out)).tolist(),
+        [(np.repeat(spacings, len(out)), np.repeat(n_matches, len(out)),
           out * len(results), into * len(results),
           magnitude_db(s_all).ravel(), np.angle(s_all).ravel())])]
     # |S| in dB against the reference element, which every row names

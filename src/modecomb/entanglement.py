@@ -326,7 +326,12 @@ def decorrelate_iq(v: CovarianceMatrix):
 
 @dataclass
 class EntanglementReport:
-    """Witness value and optimisers for one bipartition."""
+    """Witness value and optimisers for one bipartition.
+
+    The report of a (K, 2N, 2N) stack carries the interval axis first:
+    ``value`` and ``iq_residual`` of shape (K,), ``h``, ``g`` and
+    ``angles`` of shape (K, N), and one list of ``flags`` per interval.
+    """
 
     bipartition: Bipartition
     value: float
@@ -337,21 +342,39 @@ class EntanglementReport:
     flags: list = field(default_factory=list)
 
 
+def _first(rep: EntanglementReport) -> EntanglementReport:
+    """The report of a stack of one as that of its one matrix."""
+    return EntanglementReport(
+        rep.bipartition, float(rep.value[0]), rep.h[0], rep.g[0],
+        None if rep.angles is None else rep.angles[0],
+        None if rep.iq_residual is None else float(rep.iq_residual[0]), rep.flags[0])
+
+
+def _svl_values(v, sides, h, g):
+    """E(h, g) of every (interval, bipartition) pair of (K, B, N) ``h`` and
+    ``g``, on the (K, 2N, 2N) stack ``v``; ``sides`` masks each bipartition's
+    parts A and B, (B, 2, N).  The forms multiply the strided blocks and the
+    overlaps add the modes in order, so each value rounds as the one-row
+    ``x @ V_II @ x`` and the Python sum over a part do."""
+    qh, qg = (((x[..., None, :] @ v[:, None, i::2, i::2]) @ x[..., None])[..., 0, 0]
+              for i, x in enumerate((h, g)))
+    t = 2.0 * np.abs(np.add.reduce(np.where(sides, (h * g)[..., None, :], 0.0), axis=-1))
+    return qh + qg - t[..., 0] - t[..., 1]
+
+
 def svl_value(v: CovarianceMatrix, bipartition: Bipartition, h, g) -> float:
     """Witness E(h, g) = h^T V_II h + g^T V_QQ g - 2|<h,g>_A| - 2|<h,g>_B|."""
     h = np.asarray(h, dtype=float)
     g = np.asarray(g, dtype=float)
     if h.shape != (v.n_modes,) or g.shape != (v.n_modes,):
         raise DimensionMismatchError("h and g must each have one entry per mode")
-    vii = v.v[0::2, 0::2]
-    vqq = v.v[1::2, 1::2]
-    ta = sum(h[i] * g[i] for i in bipartition.part_a)
-    tb = sum(h[i] * g[i] for i in bipartition.part_b)
-    return float(h @ vii @ h + g @ vqq @ g - 2.0 * abs(ta) - 2.0 * abs(tb))
+    sides = np.zeros((1, 2, v.n_modes), dtype=bool)
+    sides[0, 0, list(bipartition.part_a)] = sides[0, 1, list(bipartition.part_b)] = True
+    return float(_svl_values(v.v[None], sides, h[None, None], g[None, None])[0, 0])
 
 
 def _witness_reports(v: CovarianceMatrix, bipartitions, decorrelate: bool):
-    """Witness reports of every matrix of a (K, 2N, 2N) stack, one list each.
+    """Witness reports of a (K, 2N, 2N) stack, one per bipartition.
 
     All K (1 + B) matrices are diagonalised in one ``eigh``.  Per matrix,
     row 0 is the shared Q(+,+) = [[V_II, -I], [-I, V_QQ]] and row b is
@@ -364,10 +387,12 @@ def _witness_reports(v: CovarianceMatrix, bipartitions, decorrelate: bool):
         raise DimensionMismatchError("bipartition and covariance sizes differ")
     k = v.v.shape[0]
 
-    angles = residual = [None] * k
+    angles = residual = None
+    flags = [[] for _ in range(k)]
     if decorrelate:
         w, angles, residual = _decorrelate_stack(v)
         v = CovarianceMatrix(n, w)
+        flags = [["iq_residual_above_limit"] if r > IQ_RESIDUAL_LIMIT else [] for r in residual]
 
     signs = np.ones((1 + len(bipartitions), n))
     for row, bp in zip(signs[1:], bipartitions):
@@ -379,25 +404,17 @@ def _witness_reports(v: CovarianceMatrix, bipartitions, decorrelate: bool):
     q[:, :, d, n + d] = q[:, :, n + d, d] = -signs
     lams, vecs = np.linalg.eigh(q)
 
-    reports = []
-    for i in range(k):
-        vi = CovarianceMatrix(n, v.v[i])
-        flags = []
-        if decorrelate and residual[i] > IQ_RESIDUAL_LIMIT:
-            flags.append("iq_residual_above_limit")
-        res = None if residual[i] is None else float(residual[i])
-        mine = []
-        for b, bp in enumerate(bipartitions, start=1):
-            best = b if lams[i, b, 0] < lams[i, 0, 0] else 0
-            x = np.sqrt(2.0) * vecs[i, best, :, 0]  # ||h||^2 + ||g||^2 = 2
-            h, g = x[:n], x[n:]
-            value = svl_value(vi, bp, h, g)
-            # the evaluator re-derives the overlap signs, so it must agree exactly
-            if abs(value - 2.0 * lams[i, best, 0]) > 1e-8 * (1.0 + abs(value)):
-                raise OptimizerFailureError("witness evaluator disagrees with eigenvalue optimum")
-            mine.append(EntanglementReport(bp, value, h, g, angles[i], res, list(flags)))
-        reports.append(mine)
-    return reports
+    rows = np.arange(k)[:, None]
+    best = np.where(lams[:, 1:, 0] < lams[:, :1, 0], np.arange(1, len(signs)), 0)
+    x = np.sqrt(2.0) * vecs[rows, best, :, 0]  # ||h||^2 + ||g||^2 = 2
+    h, g = x[..., :n], x[..., n:]
+    values = _svl_values(v.v, np.stack([signs[1:] > 0.0, signs[1:] < 0.0], axis=1), h, g)
+    # the evaluator re-derives the overlap signs, so it must agree exactly
+    if np.any(np.abs(values - 2.0 * lams[rows, best, 0]) > 1e-8 * (1.0 + np.abs(values))):
+        raise OptimizerFailureError("witness evaluator disagrees with eigenvalue optimum")
+    return [EntanglementReport(bp, values[:, b], h[:, b], g[:, b], angles, residual,
+                               [list(f) for f in flags])
+            for b, bp in enumerate(bipartitions)]
 
 
 def svl_test(
@@ -418,19 +435,17 @@ def svl_test(
     solved, and Q(+,+) does not depend on the bipartition.  E < 0
     certifies entanglement across the bipartition.
     """
-    return _witness_reports(_one(v), [bipartition], decorrelate)[0][0]
+    return _first(_witness_reports(_one(v), [bipartition], decorrelate)[0])
 
 
 def all_bipartition_reports(v: CovarianceMatrix):
-    """Witness reports for every bipartition, in one common rotated frame."""
-    return _witness_reports(_one(v), all_bipartitions(v.n_modes), decorrelate=True)[0]
+    """Witness reports for every bipartition, in one common rotated frame.
 
-
-def interval_reports(v: CovarianceMatrix):
-    """``all_bipartition_reports`` of each matrix of a (K, 2N, 2N) stack.
-
-    Decorrelation and the witness of all K matrices run as one stack.
+    A (K, 2N, 2N) stack is decorrelated and tested as one, and gives one
+    report per bipartition whose fields carry the interval axis.
     """
+    if v.v.ndim == 2:
+        return [_first(rep) for rep in all_bipartition_reports(_one(v))]
     return _witness_reports(v, all_bipartitions(v.n_modes), decorrelate=True)
 
 

@@ -70,7 +70,9 @@ class ReconstructionResult:
 
     ``[t_lower, objective]`` brackets the optimal t: ``objective`` is
     realized by the physical ``v``, and ``t_lower`` is certified by a dual
-    matrix.
+    matrix.  The result of a stack of K carries the interval axis: ``v`` is
+    a (K, 2N, 2N) stack, the numbers are arrays of length K and ``flags``
+    holds one list per interval.
     """
 
     v: CovarianceMatrix
@@ -290,10 +292,12 @@ def _barrier_bracket(arr, sig, h0, lam_min, t_lower, t_width, max_iter):
 
 
 def _reconstruct(arr, sigma, t_width, max_iter):
-    """Results for a (K, 2N, 2N) stack, and the warnings they call for.
+    """The stacked result of a (K, 2N, 2N) stack (array or CovarianceMatrix),
+    and the warnings it calls for.
 
     Every interval's warnings name it when K > 1.
     """
+    arr = np.asarray(arr.v if isinstance(arr, CovarianceMatrix) else arr, dtype=float)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] % 2:
         raise DimensionMismatchError("covariance stack must be K x 2N x 2N")
     atol = 1e-9 * np.abs(arr).max(axis=(1, 2), initial=1.0)
@@ -333,25 +337,14 @@ def _reconstruct(arr, sigma, t_width, max_iter):
             arr[todo], sig[todo], h0[todo], w[todo, 0], np.where(bound > 0.0, bound, 0.0),
             t_width, max_iter)
 
-    results = []
-    for i in range(k):
-        realized, t_lower = float(upper[i]), float(lower[i])
-        converged = realized - t_lower <= max(t_width, GAP_REL * realized)
-        if not converged:
-            messages.append(
-                f"{where[i]}reconstruction bracket [{t_lower:.6g}, {realized:.6g}] "
-                f"is wider than t_width = {t_width:g} after {iters[i]} "
-                f"eigendecompositions")
-        results.append(ReconstructionResult(
-            v=CovarianceMatrix(n, v[i]),
-            objective=realized,
-            t_lower=t_lower,
-            iterations=int(iters[i]),
-            converged=converged,
-            sigma_floored=bool(floored[i]),
-            flags=[] if converged else ["iteration_cap_reached"],
-        ))
-    return results, messages
+    converged = upper - lower <= np.maximum(t_width, GAP_REL * upper)
+    messages += [
+        f"{where[i]}reconstruction bracket [{lower[i]:.6g}, {upper[i]:.6g}] "
+        f"is wider than t_width = {t_width:g} after {iters[i]} eigendecompositions"
+        for i in np.flatnonzero(~converged)]
+    flags = [[] if c else ["iteration_cap_reached"] for c in converged]
+    return ReconstructionResult(CovarianceMatrix(n, v), upper, lower, iters, converged,
+                                floored, flags), messages
 
 
 def _warn(messages):
@@ -366,20 +359,17 @@ def reconstruct_intervals(
     t_width=T_WIDTH,
     max_iter=MAX_ITER,
 ):
-    """``reconstruct_physical`` of a stack of K covariances, one result each.
+    """``reconstruct_physical`` of a stack of K covariances, as one stacked result.
 
     ``v_meas`` is a (K, 2N, 2N) stack (array or CovarianceMatrix) and
     ``sigma`` None, a scalar or a stack of the same shape.  All K searches
-    run in lockstep (see ``_barrier_bracket``), and each interval gets the
-    result, flags and warnings that a call of ``reconstruct_physical`` on
-    it alone gives; with K > 1 a warning names its interval.
+    run in lockstep (see ``_barrier_bracket``), and row i of every field,
+    and the warnings, are what a call of ``reconstruct_physical`` on
+    interval i alone gives; with K > 1 a warning names its interval.
     """
-    arr = np.asarray(
-        v_meas.v if isinstance(v_meas, CovarianceMatrix) else v_meas, dtype=float
-    )
-    results, messages = _reconstruct(arr, sigma, t_width, max_iter)
+    result, messages = _reconstruct(v_meas, sigma, t_width, max_iter)
     _warn(messages)
-    return results
+    return result
 
 
 def reconstruct_physical(
@@ -414,13 +404,14 @@ def reconstruct_physical(
         with a warning and a flag, when the bracket stayed wider than
         that.  This is ``reconstruct_intervals`` on a stack of one.
     """
-    arr = np.asarray(
-        v_meas.v if isinstance(v_meas, CovarianceMatrix) else v_meas, dtype=float
-    )
+    arr = np.asarray(v_meas.v if isinstance(v_meas, CovarianceMatrix) else v_meas, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2:
         raise DimensionMismatchError("covariance must be square with even size")
     if sigma is not None and np.ndim(sigma):
         sigma = np.asarray(sigma, dtype=float)[None]
-    results, messages = _reconstruct(arr[None], sigma, t_width, max_iter)
+    res, messages = _reconstruct(arr[None], sigma, t_width, max_iter)
     _warn(messages)
-    return results[0]
+    return ReconstructionResult(
+        CovarianceMatrix(res.v.n_modes, res.v.v[0]), float(res.objective[0]),
+        float(res.t_lower[0]), int(res.iterations[0]), bool(res.converged[0]),
+        bool(res.sigma_floored[0]), res.flags[0])

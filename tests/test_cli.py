@@ -14,6 +14,7 @@ import pytest
 import modecomb
 from modecomb import CalibrationStore, CovarianceMatrix, sample
 from modecomb.cli import (
+    _jsonify,
     _write_covariance,
     _write_csv,
     load_config,
@@ -422,19 +423,26 @@ def test_scattering_tables_match_per_element_calls(tmp_path, monkeypatch):
 
 
 def csv_writer_reference(out_dir, name, header, blocks):
-    # the csv.writer form of cli._write_csv, kept as the reference for its bytes
+    # the csv.writer form of cli._write_csv, kept as the reference for its
+    # bytes: an integer array goes to csv.writer as Python ints, any other
+    # array as Python floats
+    def cells(c):
+        if not isinstance(c, np.ndarray):
+            return c
+        return c.tolist() if c.dtype.kind in "iu" else c.astype(float).tolist()
+
     with open(os.path.join(out_dir, name), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for columns in blocks:
-            w.writerows(zip(*(c.astype(float).tolist() if isinstance(c, np.ndarray)
-                              else c for c in columns)))
+            w.writerows(zip(*map(cells, columns)))
     return name
 
 
 def test_write_csv_cell_rule(tmp_path):
-    # a numpy array column is written as repr(float(x)); a list column as
-    # str() writes its cells, which for float and np.float64 is the same repr
+    # a numpy integer array column is written as str(int(x)) and any other
+    # numpy array column as repr(float(x)); a list column as str() writes its
+    # cells, which for float and np.float64 is the same repr
     floats = [0.1, 3.0, 0.0, -0.0, np.inf, -np.inf, np.nan, 1e16, 1e-5]
     _write_csv(tmp_path, "cells.csv", ["s", "i", "f", "f64", "a64", "ai", "a32"], [
         (["a", "b,c"], [3, -2], floats[:2], [np.float64(0.1), np.float64(-0.0)],
@@ -444,15 +452,15 @@ def test_write_csv_cell_rule(tmp_path):
     ])
     assert (tmp_path / "cells.csv").read_bytes() == (
         b"s,i,f,f64,a64,ai,a32\r\n"
-        b"a,3,0.1,0.1,1e+16,3.0,0.10000000149011612\r\n"
-        b'"b,c",-2,3.0,-0.0,nan,-2.0,3.0\r\n'
-        b"x,0,0.0,0.0,0.0,0.0,0.0\r\n"
-        b"x,0,-0.0,-0.0,-0.0,1.0,-0.0\r\n"
-        b"x,0,inf,inf,inf,2.0,inf\r\n"
-        b"x,0,-inf,-inf,-inf,3.0,-inf\r\n"
-        b"x,0,nan,nan,nan,4.0,nan\r\n"
-        b"x,0,1e+16,1e+16,1e+16,5.0,1.0000000272564224e+16\r\n"
-        b"x,0,1e-05,1e-05,1e-05,6.0,9.999999747378752e-06\r\n")
+        b"a,3,0.1,0.1,1e+16,3,0.10000000149011612\r\n"
+        b'"b,c",-2,3.0,-0.0,nan,-2,3.0\r\n'
+        b"x,0,0.0,0.0,0.0,0,0.0\r\n"
+        b"x,0,-0.0,-0.0,-0.0,1,-0.0\r\n"
+        b"x,0,inf,inf,inf,2,inf\r\n"
+        b"x,0,-inf,-inf,-inf,3,-inf\r\n"
+        b"x,0,nan,nan,nan,4,nan\r\n"
+        b"x,0,1e+16,1e+16,1e+16,5,1.0000000272564224e+16\r\n"
+        b"x,0,1e-05,1e-05,1e-05,6,9.999999747378752e-06\r\n")
     # repeated values inside numpy columns, list cells csv must quote, an
     # empty block, a lone empty field and blocks given as a generator
     repeats = np.array([0.0, -0.0, np.nan, 0.0, -np.nan, np.inf, -np.inf, np.nan, -0.0, np.inf])
@@ -682,6 +690,14 @@ def test_non_finite_calibration_file_exits_three(tmp_path, capsys, monkeypatch):
     assert "non-finite value in calibration.json.cov_gain_noise" in capsys.readouterr().err
     assert not (tmp_path / "out" / "calibration.json").exists()
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_jsonify_writes_bools_as_bools():
+    # bool is an int subclass, and np.bool_ is neither, so both are tested first
+    got = _jsonify({"a": True, "b": np.bool_(False), "c": np.array([True])}, "x")
+    assert got == {"a": True, "b": False, "c": [True]}
+    assert all(type(x) is bool for x in (got["a"], got["b"], got["c"][0]))
+    assert json.dumps(got, sort_keys=True) == '{"a": true, "b": false, "c": [true]}'
 
 
 def test_non_finite_data_exits_two(tmp_path):

@@ -23,7 +23,6 @@ from modecomb import (
     deamplify,
     decorrelate_iq,
     entanglement_sigma,
-    interval_reports,
     output_covariance,
     ppt_min_eigenvalue,
     propagate_errors,
@@ -164,6 +163,16 @@ def test_svl_separable_state_nonnegative():
         assert svl_test(v, bp).value >= -1e-12
 
 
+def reference_svl_value(v, bp, h, g):
+    """The earlier one-row witness evaluator, kept as an oracle: its
+    quadratic forms as ``x @ V_II @ x`` and its overlaps as Python sums."""
+    vii = v.v[0::2, 0::2]
+    vqq = v.v[1::2, 1::2]
+    ta = sum(h[i] * g[i] for i in bp.part_a)
+    tb = sum(h[i] * g[i] for i in bp.part_b)
+    return float(h @ vii @ h + g @ vqq @ g - 2.0 * abs(ta) - 2.0 * abs(tb))
+
+
 def reference_svl_test(v, bp):
     """The earlier witness optimum, kept as an oracle: one ``np.block``
     eigenproblem per sign pattern (sA, sB), all four patterns in turn."""
@@ -192,7 +201,10 @@ def passively_mixed_thermal_states(seed, sizes=(2, 3, 4, 5)):
 
 
 def test_stacked_witness_matches_four_pattern_loop():
+    # up to seven modes the stacked evaluator adds each overlap in mode
+    # order, as the Python sum does; from eight numpy's pairwise sum does not
     states = list(rotated_random_states(17, 12, sizes=(2, 3, 4, 5)))
+    states += list(rotated_random_states(27, 4, sizes=(6, 7)))
     for v in states + list(passively_mixed_thermal_states(18)):
         bps = all_bipartitions(v.n_modes)
         reports = all_bipartition_reports(v)
@@ -202,9 +214,11 @@ def test_stacked_witness_matches_four_pattern_loop():
             expected = reference_svl_test(clean, rep.bipartition)
             assert rep.value == pytest.approx(expected, rel=1e-12, abs=1e-14)
             assert svl_value(clean, rep.bipartition, rep.h, rep.g) == rep.value
+            assert reference_svl_value(clean, rep.bipartition, rep.h, rep.g) == rep.value
             single = svl_test(clean, rep.bipartition, decorrelate=False)
             assert single.value == pytest.approx(expected, rel=1e-12, abs=1e-14)
             assert svl_value(clean, rep.bipartition, single.h, single.g) == single.value
+            assert reference_svl_value(clean, rep.bipartition, single.h, single.g) == single.value
             assert np.dot(single.h, single.h) + np.dot(single.g, single.g) == pytest.approx(
                 2.0, rel=1e-12)
 
@@ -578,7 +592,7 @@ def reference_reports(v):
     for b, bp in enumerate(bps, start=1):
         best = b if lams[b, 0] < lams[0, 0] else 0
         x = np.sqrt(2.0) * vecs[best, :, 0]
-        out.append((svl_value(clean, bp, x[:n], x[n:]), x[:n], x[n:]))
+        out.append((reference_svl_value(clean, bp, x[:n], x[n:]), x[:n], x[n:]))
     return out
 
 
@@ -616,25 +630,27 @@ def test_stacked_witness_and_sigma_match_the_one_matrix_path(n_modes):
     rng = np.random.default_rng(48)
     s = np.abs(rng.normal(1.0, 0.5, stack.v.shape))
     s = (s + np.swapaxes(s, 1, 2)) / 2.0
-    stacked = interval_reports(stack)
-    angles = np.array([reps[0].angles for reps in stacked])
-    for b in range(len(stacked[0])):
-        sigmas = entanglement_sigma(s, np.array([reps[b].h for reps in stacked]),
-                                    np.array([reps[b].g for reps in stacked]), angles)
-        for i, reps in enumerate(stacked):
-            rep = reps[b]
-            assert sigmas[i] == reference_sigma(s[i], rep.h, rep.g, rep.angles)
-            assert sigmas[i] == entanglement_sigma(s[i], rep.h, rep.g, rep.angles)
+    stacked = all_bipartition_reports(stack)
+    angles = stacked[0].angles
+    # the multimode pipeline's one call over (interval, bipartition)
+    h, g = (np.stack([getattr(rep, x) for rep in stacked], axis=1) for x in "hg")
+    joint = entanglement_sigma(s[:, None], h, g, angles[:, None])
+    for b, rep in enumerate(stacked):
+        sigmas = entanglement_sigma(s, rep.h, rep.g, angles)
+        assert np.array_equal(joint[:, b], sigmas)
+        for i in range(len(s)):
+            assert sigmas[i] == reference_sigma(s[i], rep.h[i], rep.g[i], rep.angles[i])
+            assert sigmas[i] == entanglement_sigma(s[i], rep.h[i], rep.g[i], rep.angles[i])
     for i, v in enumerate(stack.v):
         one = all_bipartition_reports(CovarianceMatrix(n_modes, v))
-        for rep, single, (value, h, g) in zip(stacked[i], one,
+        for rep, single, (value, h, g) in zip(stacked, one,
                                               reference_reports(CovarianceMatrix(n_modes, v))):
             assert rep.bipartition == single.bipartition
-            assert rep.value == single.value == value
-            assert np.array_equal(rep.h, h) and np.array_equal(single.h, h)
-            assert np.array_equal(rep.g, g) and np.array_equal(single.g, g)
-            assert np.array_equal(rep.angles, single.angles)
-            assert rep.iq_residual == single.iq_residual and rep.flags == single.flags
+            assert rep.value[i] == single.value == value
+            assert np.array_equal(rep.h[i], h) and np.array_equal(single.h, h)
+            assert np.array_equal(rep.g[i], g) and np.array_equal(single.g, g)
+            assert np.array_equal(rep.angles[i], single.angles)
+            assert rep.iq_residual[i] == single.iq_residual and rep.flags[i] == single.flags
 
 
 def test_stacked_error_propagation_matches_one_matrix_calls():

@@ -238,15 +238,15 @@ def reference_barrier(arr, sig, t_width, max_iter):
     return best, t_upper, t_lower, iters
 
 
-def assert_same_result(got, ref):
-    """Two results agree element for element, bit for bit."""
-    assert got.objective == ref.objective
-    assert got.t_lower == ref.t_lower
-    assert got.iterations == ref.iterations
-    assert got.converged == ref.converged
-    assert got.flags == ref.flags
-    assert got.sigma_floored == ref.sigma_floored
-    assert np.array_equal(got.v.v, ref.v.v)
+def assert_same_row(got, i, ref):
+    """Row i of a stacked result agrees with ``ref`` element for element, bit for bit."""
+    assert got.objective[i] == ref.objective
+    assert got.t_lower[i] == ref.t_lower
+    assert got.iterations[i] == ref.iterations
+    assert got.converged[i] == ref.converged
+    assert got.flags[i] == ref.flags
+    assert got.sigma_floored[i] == ref.sigma_floored
+    assert np.array_equal(got.v.v[i], ref.v.v)
 
 
 def criterion_06_stacks():
@@ -258,14 +258,14 @@ def criterion_06_stacks():
 
 def test_lockstep_matches_the_per_matrix_search_on_criterion_06():
     for stack in criterion_06_stacks():
-        results = reconstruct_intervals(stack, sigma=0.05, t_width=1e-5)
-        for vm, res in zip(stack, results):
-            assert_same_result(res, reconstruct_physical(vm, sigma=0.05, t_width=1e-5))
+        result = reconstruct_intervals(stack, sigma=0.05, t_width=1e-5)
+        for i, vm in enumerate(stack):
+            assert_same_row(result, i, reconstruct_physical(vm, sigma=0.05, t_width=1e-5))
             v, objective, t_lower, iters = reference_barrier(
                 vm, np.full(vm.shape, 0.05), 1e-5, rc.MAX_ITER)
-            assert (res.objective, res.t_lower, res.iterations) == (
+            assert (result.objective[i], result.t_lower[i], result.iterations[i]) == (
                 objective, t_lower, iters)
-            assert np.array_equal(res.v.v, v)
+            assert np.array_equal(result.v.v[i], v)
 
 
 def test_lockstep_mixes_fast_path_and_exhausted_budgets():
@@ -276,23 +276,27 @@ def test_lockstep_mixes_fast_path_and_exhausted_budgets():
     sigma = rng.uniform(0.03, 0.08, stack.shape)
     sigma = (sigma + np.swapaxes(sigma, 1, 2)) / 2.0
     with pytest.warns(NonConvergenceWarning) as caught:
-        results = reconstruct_intervals(stack, sigma=sigma, t_width=1e-9, max_iter=3)
+        result = reconstruct_intervals(stack, sigma=sigma, t_width=1e-9, max_iter=3)
     # one warning per exhausted interval, each naming it
     assert sorted(str(w.message).split(":")[0] for w in caught) == [
         "interval 1", "interval 2"]
-    assert results[0].iterations == 0 and results[0].converged
-    for i, res in enumerate(results):
+    assert result.iterations[0] == 0 and result.converged[0]
+    for i in range(len(stack)):
         with warnings.catch_warnings(record=True) as alone:
             warnings.simplefilter("always")
             single = reconstruct_physical(stack[i], sigma=sigma[i], t_width=1e-9, max_iter=3)
-        assert_same_result(res, single)
+        assert_same_row(result, i, single)
+        # the one-matrix result stays scalar
+        assert type(single.objective) is float and type(single.converged) is bool
+        assert single.v.v.shape == stack[i].shape
         assert len(alone) == (i > 0)
         assert all(not str(w.message).startswith("interval") for w in alone)
         v, objective, t_lower, iters = reference_barrier(stack[i], sigma[i], 1e-9, 3)
-        assert (res.objective, res.t_lower, res.iterations) == (objective, t_lower, iters)
-        assert np.array_equal(res.v.v, v)
-    for res in results[1:]:
-        assert not res.converged and res.flags == ["iteration_cap_reached"]
+        assert (result.objective[i], result.t_lower[i], result.iterations[i]) == (
+            objective, t_lower, iters)
+        assert np.array_equal(result.v.v[i], v)
+    for i in (1, 2):
+        assert not result.converged[i] and result.flags[i] == ["iteration_cap_reached"]
 
 
 def test_stack_shape_and_sigma_checks():
@@ -300,4 +304,7 @@ def test_stack_shape_and_sigma_checks():
         reconstruct_intervals(np.eye(4))
     with pytest.raises(DimensionMismatchError):
         reconstruct_intervals(np.eye(4)[None], sigma=np.ones((4, 4)))
-    assert reconstruct_intervals(np.zeros((0, 4, 4))) == []
+    empty = reconstruct_intervals(np.zeros((0, 4, 4)))
+    assert empty.v.v.shape == (0, 4, 4) and empty.flags == []
+    assert all(x.shape == (0,) for x in (empty.objective, empty.t_lower, empty.iterations,
+                                         empty.converged, empty.sigma_floored))
