@@ -75,6 +75,7 @@ from .gaussian_state import (
     histogram2d_subtracted,
     output_covariance,
     sample_covariance,
+    sample_covariance_stack,
     squeezing_stats,
     thermal_covariance,
 )
@@ -129,9 +130,9 @@ def _jsonify(obj, where):
 def _write_json(path, payload):
     """Write a JSON artifact; a non-finite value raises before the file opens."""
     payload = _jsonify(payload, os.path.basename(path))
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _csv_fields(column, lone=False):
@@ -322,6 +323,23 @@ def _run_twomode(scfg, out_dir):
 # multimode pipeline
 
 
+def _interval_covariances(scfg, v_model):
+    """Seeded sample covariance of every interval, drift phase applied.
+
+    Interval i draws from seed [seed, 0, i] and, with ``drift_phase`` on,
+    turns every mode by one angle drawn from seed [seed, 1, i].
+    """
+    n = v_model.n_modes
+    v_hat = sample_covariance_stack(v_model, scfg.n_samples,
+                                    [[scfg.seed, 0, i] for i in range(scfg.interval_count)])
+    if not scfg.drift_phase:
+        return v_hat
+    phis = [float(np.random.default_rng([scfg.seed, 1, i]).uniform(0.0, TWO_PI))
+            for i in range(scfg.interval_count)]
+    return CovarianceMatrix(n, np.array([CovarianceMatrix(n, v).rotate(np.full(n, phi)).v
+                                         for v, phi in zip(v_hat.v, phis)]))
+
+
 def _run_multimode(scfg, out_dir):
     idx = scfg.probe_indices
     n_sub = len(idx)
@@ -334,19 +352,9 @@ def _run_multimode(scfg, out_dir):
     amp = scfg.amplifier.amplifier(n_sub)
     v_model = amplify(v_out, amp)
 
-    def draw(i):
-        """Seeded sample covariance of interval i, drift phase applied."""
-        v_hat = sample_covariance(v_model, scfg.n_samples, [scfg.seed, 0, i])
-        if scfg.drift_phase:
-            phi = float(np.random.default_rng(
-                [scfg.seed, 1, i]).uniform(0.0, TWO_PI))
-            v_hat = v_hat.rotate(np.full(n_sub, phi))
-        return v_hat.v
-
     # the seeded draws define the intervals; from here on all of them are
     # one (K, 2N, 2N) stack
-    v_hat = CovarianceMatrix(
-        n_sub, np.array([draw(i) for i in range(scfg.interval_count)]))
+    v_hat = _interval_covariances(scfg, v_model)
     sigma = propagate_errors(v_hat, amp,
                              sem=covariance_sem(v_hat, scfg.n_samples))
     # interval objectives only feed averages, so a loose bracket width

@@ -203,17 +203,27 @@ _NEWTON_MAX_STEP = 0.25 * np.pi
 
 
 def _iq_starts(v: CovarianceMatrix) -> np.ndarray:
-    """Starting angles of a (K, 2N, 2N) stack, (K, B, N): per matrix, zero
-    and shifts of its ``own_iq_angles``."""
+    """Starting angles of a (K, 2N, 2N) stack, (K, S, N): per matrix, zero
+    and shifts of its ``own_iq_angles``.
+
+    f is invariant under a pi/2 turn of every mode (the II and QQ blocks
+    swap and X becomes -X^T), so two starts that differ by that turn follow
+    the same Newton path, shifted; only rounding tells them apart, and one
+    of each such pair is kept.  For N <= 6 that leaves S = 2^(N-1) + 1
+    starts, for N > 6 S = 5.
+    """
     n = v.n_modes
     base = own_iq_angles(v)
     if n <= 6:
         # f is pi-periodic in each angle, so {0, pi/2}^n holds every
-        # distinct pi/2 shift of the own-zeroing solution
-        bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        # distinct pi/2 shift of the own-zeroing solution; flipping every
+        # bit gives the twin, so the shifts that leave the last mode alone
+        # hold one of each pair
+        bits = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n)) & 1
         shifts = 0.5 * np.pi * bits
     else:
-        shifts = np.arange(8)[:, None] * (np.pi / 8.0)
+        # shift k + 4 is the pi/2 twin of shift k
+        shifts = np.arange(4)[:, None] * (np.pi / 8.0)
     return np.concatenate(
         [np.zeros((len(base), 1, n)), base[:, None, :] + shifts], axis=1)
 
@@ -246,9 +256,10 @@ def _iq_state(v, rows, angles):
 def _decorrelate_stack(v: CovarianceMatrix):
     """``decorrelate_iq`` of each matrix of a (K, 2N, 2N) stack.
 
-    The Newton loop runs on all K B starts at once, each against its own
-    matrix; returns the rotated stack W, the (K, N) angles and the K
-    residuals.  Of each start only f and its derivatives are kept.
+    The Newton loop runs on all K S starts of ``_iq_starts`` at once (S =
+    2^(N-1) + 1 for N <= 6, 5 above), each against its own matrix; returns
+    the rotated stack W, the (K, N) angles and the K residuals.  Of each
+    start only f and its derivatives are kept.
     """
     k, n = v.v.shape[0], v.n_modes
     theta = _iq_starts(v)
@@ -304,11 +315,15 @@ def decorrelate_iq(v: CovarianceMatrix):
     (and not at all for isotropic modes), so the remaining freedom is used
     to suppress inter-mode I-Q correlations as well: f = ||IQ block||^2 is
     minimised by damped Newton steps with the analytic gradient and Hessian
-    of ``_iq_derivatives``, from all starts of ``_iq_starts`` at once.  Each
-    start shifts its Hessian to be positive definite (Levenberg damping),
-    accepts a step only where f decreases, or where f stays within its
-    rounding error and the gradient norm halves, and stops once its
-    gradient vanishes or its damping saturates.  The best start wins, its angles reduced modulo pi
+    of ``_iq_derivatives``, from all starts of ``_iq_starts`` at once.
+    They are the zero angles and 2^(N-1) pi/2 shifts of the own-zeroing
+    angles (for N > 6, four shifts of pi/8): of two shifts that a pi/2 turn
+    of every mode exchanges only one is run, since f is invariant under
+    that turn.  Each start shifts its Hessian to be positive definite
+    (Levenberg damping), accepts a step only where f decreases, or where f
+    stays within its rounding error and the gradient norm halves, and stops
+    once its gradient vanishes or its damping saturates.  The best start
+    wins, its angles reduced modulo pi
     (f and the witness are pi-periodic per mode) into [-pi/2, pi/2).  Of
     the two optima related by a pi/2 turn of every mode, the one with
     tr(II) >= tr(QQ) is returned.  Deterministic.

@@ -348,19 +348,64 @@ def sample_covariance(v, n_rows, seed):
     k, m = root.shape[0], int(n_rows)
     if m < 1 or k * m < 2:
         raise EmptySamplesError("need at least two rows for a covariance")
-    dof = m - 1
+    a, z = _bartlett_normals(np.random.default_rng(seed), k, d, m - 1)
+    return CovarianceMatrix(v.n_modes, _pooled_scatter(root, a, z, m, pooled=True)[0])
+
+
+def sample_covariance_stack(v, n_rows, seeds):
+    """One sample covariance per seed, all drawn from the one covariance ``v``.
+
+    Row i is bit for bit ``sample_covariance(v, n_rows, seeds[i])``: each
+    row draws its random numbers from its own ``default_rng(seeds[i])`` in
+    the same order, but the PSD root of ``v`` is taken once and the K rows
+    are assembled as one (K, 2N, 2N) stack.  Returns that stack as one
+    CovarianceMatrix.
+    """
+    d = 2 * v.n_modes
+    root = _psd_root(v._single("sample_covariance_stack"))
+    m = int(n_rows)
+    if m < 2 or len(seeds) == 0:
+        raise EmptySamplesError("need at least one seed and two rows per covariance")
+    a, z = (np.concatenate(parts) for parts in zip(*(
+        _bartlett_normals(np.random.default_rng(seed), 1, d, m - 1) for seed in seeds)))
+    root = np.broadcast_to(root, (len(a), d, d))
+    return CovarianceMatrix(v.n_modes, _pooled_scatter(root, a, z, m, pooled=False))
+
+
+def _bartlett_normals(rng, k, d, dof):
+    """Bartlett factors A of K Wishart draws with ``dof`` degrees of freedom,
+    (K, d, min(d, dof)), and K standard normal d-vectors z.
+
+    ``rng`` draws A's normals below the diagonal, then its chi-distributed
+    diagonal, then z.
+    """
     r = min(d, dof)
-    rng = np.random.default_rng(seed)
     a = np.zeros((k, d, r))
     below = _below_diagonal(d, r)
     a[:, below[0], below[1]] = rng.standard_normal((k, below[0].size))
     diag = np.arange(r)
     a[:, diag, diag] = np.sqrt(rng.chisquare(dof - diag, size=(k, r)))
-    sums = np.sqrt(m) * np.einsum("kij,kj->ki", root, rng.standard_normal((k, d)))
-    la = np.swapaxes(root @ a, 0, 1).reshape(d, k * r)
-    total = sums.sum(axis=0)
-    scatter = la @ la.T + sums.T @ sums / m - np.outer(total, total) / (k * m)
-    return CovarianceMatrix(v.n_modes, scatter / (k * m - 1.0))
+    return a, rng.standard_normal((k, d))
+
+
+def _pooled_scatter(root, a, z, m, pooled):
+    """ddof=1 sample covariances of K intervals of ``m`` rows each.
+
+    Interval i has the PSD root L_i = ``root[i]``, the Bartlett factor A_i
+    and the row sum s_i = sqrt(m) L_i z_i.  ``pooled`` gives the one
+    covariance of all K m rows about their grand mean, (1, d, d); otherwise
+    each interval is a pool of its own, (K, d, d).
+    """
+    la = root @ a
+    sums = np.sqrt(m) * np.einsum("kij,kj->ki", root, z)
+    # axis 0 counts the pools, axis 1 the intervals in each
+    la, sums = (la[None], sums[None]) if pooled else (la[:, None], sums[:, None])
+    p, k, d, r = la.shape
+    la = np.swapaxes(la, 1, 2).reshape(p, d, k * r)
+    total = sums.sum(axis=1)
+    scatter = (la @ np.swapaxes(la, 1, 2) + np.swapaxes(sums, 1, 2) @ sums / m
+               - total[:, :, None] * total[:, None, :] / (k * m))
+    return scatter / (k * m - 1.0)
 
 
 def covariance_sem(v, n_rows):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import modecomb
 from modecomb import CalibrationStore, CovarianceMatrix, sample
 from modecomb.cli import (
+    _interval_covariances,
     _jsonify,
     _write_covariance,
     _write_csv,
@@ -24,7 +26,7 @@ from modecomb.cli import (
 )
 from modecomb.errors import ConfigError
 from modecomb.scattering import magnitude_db
-from test_gaussian_state import drift_stack, rectangle_probabilities
+from test_gaussian_state import WISHART_V, drift_stack, rectangle_probabilities
 
 MIRROR = """\
 system:
@@ -214,6 +216,28 @@ def test_multimode_pipeline_run_and_determinism(tmp_path):
     assert sum(counts.values()) == sum(len(row["flags"]) for row in intervals)
     for row in intervals:
         assert ("iq_residual_above_limit" in row["flags"]) == (row["iq_residual"] > 0.05)
+
+
+def reference_interval_draw(v_model, scfg, i):
+    """The earlier per-interval draw of the multimode pipeline, kept as an
+    oracle: one ``sample_covariance`` call, then the drift turn."""
+    v_hat = modecomb.sample_covariance(v_model, scfg.n_samples, [scfg.seed, 0, i])
+    if scfg.drift_phase:
+        phi = float(np.random.default_rng([scfg.seed, 1, i]).uniform(0.0, 2.0 * np.pi))
+        v_hat = v_hat.rotate(np.full(v_model.n_modes, phi))
+    return v_hat.v
+
+
+@pytest.mark.parametrize("drift_phase", [False, True])
+@pytest.mark.parametrize("count", [1, 75])
+def test_interval_stack_matches_one_draw_per_interval(count, drift_phase):
+    v_model = CovarianceMatrix(4, 1e8 * WISHART_V)
+    scfg = SimpleNamespace(seed=7, n_samples=100_000, interval_count=count,
+                           drift_phase=drift_phase)
+    stack = _interval_covariances(scfg, v_model)
+    assert stack.v.shape == (count, 8, 8)
+    for i, row in enumerate(stack.v):
+        assert np.array_equal(row, reference_interval_draw(v_model, scfg, i)), i
 
 
 def test_twomode_drift_phase_run(tmp_path):

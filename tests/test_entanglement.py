@@ -1,7 +1,9 @@
 """PPT and optimized-witness entanglement tests with error propagation."""
 
+import re
 import warnings
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from modecomb import (
     svl_value,
     two_mode_squeezed_covariance,
 )
+from modecomb import cli
 from modecomb import entanglement as ent
 from modecomb.bases import mode_rotation, symplectic_form
 from modecomb.entanglement import (
@@ -528,10 +531,10 @@ def test_significance_weighting():
 def reference_decorrelate_iq(v):
     """The earlier one-matrix Newton search of ``decorrelate_iq``, kept as
     an oracle: the same starts and steps, with the matrix broadcast over
-    its starts and every rotated W kept."""
+    its starts and every rotated W kept (N <= 6)."""
     n = v.n_modes
     base = own_iq_angles(v)
-    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    bits = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n)) & 1
     theta = np.vstack([np.zeros(n), base + 0.5 * np.pi * bits])
     f, w = _iq_objective(v.v, theta)
     grad, hess = _iq_derivatives(w)
@@ -571,6 +574,60 @@ def reference_decorrelate_iq(v):
     _, w = _iq_objective(v.v, angles)
     in_block = max(np.linalg.norm(w[0::2, 0::2]), np.linalg.norm(w[1::2, 1::2]), 1e-300)
     return CovarianceMatrix(n, w), angles, float(np.linalg.norm(w[0::2, 1::2]) / in_block)
+
+
+def twin_pair_starts(v):
+    """The earlier starts of ``_iq_starts``, kept as an oracle: zero and
+    every pi/2 shift of the own-zeroing angles (2^N + 1 starts) for N <= 6,
+    eight shifts of pi/8 above, so both starts of each pi/2 twin pair."""
+    n = v.n_modes
+    base = own_iq_angles(v)
+    if n <= 6:
+        shifts = 0.5 * np.pi * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+    else:
+        shifts = np.arange(8)[:, None] * (np.pi / 8.0)
+    return np.concatenate([np.zeros((len(base), 1, n)), base[:, None, :] + shifts], axis=1)
+
+
+def assert_twin_free_starts_lose_nothing(stack, monkeypatch):
+    """The search of one start per pi/2 twin pair against the search of
+    both: f no higher, up to rounding, and the same angles modulo pi."""
+    w, angles, _ = ent._decorrelate_stack(stack)
+    with monkeypatch.context() as m:
+        m.setattr(ent, "_iq_starts", twin_pair_starts)
+        ref_w, ref_angles, _ = ent._decorrelate_stack(stack)
+    f, ref_f = (np.sum(x[:, 0::2, 1::2] ** 2, axis=(1, 2)) for x in (w, ref_w))
+    assert np.all(f <= ref_f * (1.0 + 1e-12))
+    turn = np.mod(angles - ref_angles + 0.5 * np.pi, np.pi) - 0.5 * np.pi
+    assert np.abs(turn).max() <= 1e-9
+
+
+@pytest.mark.parametrize("n_modes", [2, 3, 4, 5, 6, 7])
+def test_twin_free_starts_match_all_starts(n_modes, monkeypatch):
+    # 7 modes run the pi/8 shifts
+    stack = interval_stack(70 + n_modes, 20, n_modes)
+    assert ent._iq_starts(stack).shape[1] == (2 ** (n_modes - 1) + 1 if n_modes <= 6 else 5)
+    assert_twin_free_starts_lose_nothing(stack, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_twin_free_starts_match_all_starts_on_the_demo(seed, tmp_path, monkeypatch):
+    # the reconstructed intervals that the multimode demo decorrelates
+    stacks = []
+
+    def keep(v):
+        stacks.append(v)
+        return all_bipartition_reports(v)
+
+    path = Path(cli.write_demo_config("multimode", str(tmp_path)))
+    text = re.sub(r"^seed: \d+$", f"seed: {seed}", path.read_text(), flags=re.M)
+    path.write_text(re.sub(r"^output_dir: \S+$", f"output_dir: {tmp_path / 'out'}", text,
+                           flags=re.M))
+    with monkeypatch.context() as m:
+        m.setattr(cli, "all_bipartition_reports", keep)
+        cli.run_scenario(path)
+    assert stacks[0].v.shape == (75, 8, 8)
+    assert_twin_free_starts_lose_nothing(stacks[0], monkeypatch)
 
 
 def reference_reports(v):

@@ -32,7 +32,11 @@ from modecomb import (
     two_mode_squeezed_covariance,
 )
 from modecomb.bases import mode_rotation
-from modecomb.gaussian_state import _bin_probabilities, _gauss_legendre
+from modecomb.gaussian_state import (
+    _bin_probabilities,
+    _gauss_legendre,
+    sample_covariance_stack,
+)
 from modecomb.cli import _write_covariance
 
 TWO_PI = 2.0 * np.pi
@@ -272,6 +276,28 @@ def test_sample_covariance_seeds_and_checks():
     bad[0, 0] = -1.0
     with pytest.raises(NotPSDError):
         sample_covariance(CovarianceMatrix(2, np.stack([np.eye(4), bad])), 10, seed=1)
+
+
+@pytest.mark.parametrize("m", [2, 5, 100_000])
+def test_sample_covariance_stack_rows_are_single_draws(m):
+    # row i is bit for bit the one-interval draw of seed i, also for the
+    # singular Wishart (m - 1 < 8) and at the demo's row count
+    v = CovarianceMatrix(4, 1e8 * WISHART_V)
+    seeds = [[9, 0, i] for i in range(6)]
+    stack = sample_covariance_stack(v, m, seeds)
+    assert stack.v.shape == (6, 8, 8)
+    for row, seed in zip(stack.v, seeds):
+        assert np.array_equal(row, sample_covariance(v, m, seed).v)
+
+
+def test_sample_covariance_stack_checks():
+    v = CovarianceMatrix(4, WISHART_V)
+    with pytest.raises(EmptySamplesError):
+        sample_covariance_stack(v, 1, [[1]])
+    with pytest.raises(EmptySamplesError):
+        sample_covariance_stack(v, 10, [])
+    with pytest.raises(DimensionMismatchError):
+        sample_covariance_stack(CovarianceMatrix(4, drifted(2)), 10, [[1], [2]])
 
 
 def test_drift_compensation_angle_recovery():
