@@ -51,7 +51,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import calibration as cal
-from .bases import mode_rotation
 from .config import TWO_PI, load_config, validate_config
 from .coupling_graph import (
     assign_probe_frequencies,
@@ -74,7 +73,6 @@ from .gaussian_state import (
     deamplify,
     histogram2d_subtracted,
     output_covariance,
-    sample_covariance,
     sample_covariance_stack,
     squeezing_stats,
     thermal_covariance,
@@ -220,6 +218,17 @@ def _output_state(scfg, couplings, probe_omegas=None):
     return output_covariance(pair, v_th, v_loss=v_th)
 
 
+def _drift_angles(scfg, n_modes, *stream):
+    """Per-mode drift angles (K, n_modes): every mode of interval i, and every
+    row of it, turns by one angle drawn from seed [seed, 1, *stream, i];
+    zeros with ``drift_phase`` off."""
+    if not scfg.drift_phase:
+        return np.zeros((scfg.interval_count, n_modes))
+    phis = [np.random.default_rng([scfg.seed, 1, *stream, i]).uniform(0.0, TWO_PI)
+            for i in range(scfg.interval_count)]
+    return np.repeat(np.array(phis)[:, None], n_modes, axis=1)
+
+
 # ---------------------------------------------------------------------------
 # twomode pipeline
 
@@ -245,41 +254,19 @@ def _run_twomode(scfg, out_dir):
     probes = np.tile(dressed_frequencies(modes, couplings), (len(detunings), 1))
     probes[:, pair[0]] += deltas
     probes[:, pair[1]] -= deltas
-    v_on_all, v_off_all = (amplify(_output_state(scfg, c, probes), amp).v
-                           for c in (couplings, {}))
+    v_on, v_off = (amplify(_output_state(scfg, c, probes), amp) for c in (couplings, {}))
 
     rows_per_state = scfg.n_samples * (blocks // 2)  # per interval
-
-    def drift_angles(d_idx):
-        """Drift angle of each interval, shared by all of its rows."""
-        if not scfg.drift_phase:
-            return np.zeros(scfg.interval_count)
-        return np.array([
-            np.random.default_rng([scfg.seed, 1, d_idx, i]).uniform(0.0, TWO_PI)
-            for i in range(scfg.interval_count)])
-
-    def one_detuning(d_idx):
-        v_on = CovarianceMatrix(n, v_on_all[d_idx])
-        v_off = CovarianceMatrix(n, v_off_all[d_idx])
-        r = mode_rotation(np.repeat(drift_angles(d_idx)[:, None], n, axis=1))
-        # one covariance per interval: its rows share the drift angle
-        on, off = (CovarianceMatrix(n, r @ v.v @ np.swapaxes(r, -1, -2)) for v in (v_on, v_off))
-        r_e, r_p = squeezing_stats(*(
-            sample_covariance(v, rows_per_state, [scfg.seed, 2, d_idx, state])
-            for state, v in enumerate((on, off))), pair)
-        r_e_model, r_p_model = squeezing_stats(v_on, v_off, pair)
-        hists = None
-        if d_idx in sec["histogram_detunings"]:
-            hists = histogram2d_subtracted(on, off, pair, rows_per_state, [scfg.seed, 3, d_idx],
-                                           bin_width=sec["histogram_bin"],
-                                           span=sec["histogram_span"])
-        return {"r_e": r_e, "r_p": r_p, "r_e_model": r_e_model,
-                "r_p_model": r_p_model, "hists": hists,
-                "v_on": v_on, "v_off": v_off}
-
-    rows = [one_detuning(d_idx) for d_idx in range(len(detunings))]
-
-    ratios = {key: [row[key] for row in rows] for key in ("r_e", "r_p", "r_e_model", "r_p_model")}
+    # one covariance per detuning and interval, turned by the interval's drift
+    turns = np.array([_drift_angles(scfg, n, d_idx) for d_idx in range(len(detunings))])
+    on, off = (CovarianceMatrix(n, v.v[:, None]).rotate(turns) for v in (v_on, v_off))
+    # each detuning pools its intervals' rows, one seed per detuning and state
+    v_hat = [sample_covariance_stack(v, rows_per_state,
+                                     [[scfg.seed, 2, d_idx, state]
+                                      for d_idx in range(len(detunings))])
+             for state, v in enumerate((on, off))]
+    ratios = dict(zip(("r_e", "r_p", "r_e_model", "r_p_model"),
+                      (*squeezing_stats(*v_hat, pair), *squeezing_stats(v_on, v_off, pair))))
     files = [_write_csv(out_dir, "squeezing_vs_detuning.csv", ("detuning_hz", *ratios),
                         [(detunings, *ratios.values())])]
 
@@ -294,16 +281,20 @@ def _run_twomode(scfg, out_dir):
                    h_on, h_off, h_on - h_off, *np.round(h.expected, 6).reshape(2, -1))
 
     for d_idx in sec["histogram_detunings"]:
+        hists = histogram2d_subtracted(*(CovarianceMatrix(n, v.v[d_idx]) for v in (on, off)),
+                                       pair, rows_per_state, [scfg.seed, 3, d_idx],
+                                       bin_width=sec["histogram_bin"],
+                                       span=sec["histogram_span"])
         files.append(_write_csv(
             out_dir, f"histograms_d{d_idx:02d}.csv",
             ["axes", "row", "col", "x_low", "y_low", "count_on", "count_off",
              "difference", "count_on_model", "count_off_model"],
-            histogram_columns(rows[d_idx]["hists"])))
+            histogram_columns(hists)))
 
     mid = len(detunings) // 2
-    files += [_write_covariance(out_dir, name, rows[mid][key])
-              for name, key in (("covariance_on_model.csv", "v_on"),
-                                ("covariance_off_model.csv", "v_off"))]
+    files += [_write_covariance(out_dir, name, CovarianceMatrix(n, v.v[mid]))
+              for name, v in (("covariance_on_model.csv", v_on),
+                              ("covariance_off_model.csv", v_off))]
 
     r_p = ratios["r_p"]
     best = int(np.argmin(r_p))
@@ -329,15 +320,9 @@ def _interval_covariances(scfg, v_model):
     Interval i draws from seed [seed, 0, i] and, with ``drift_phase`` on,
     turns every mode by one angle drawn from seed [seed, 1, i].
     """
-    n = v_model.n_modes
     v_hat = sample_covariance_stack(v_model, scfg.n_samples,
                                     [[scfg.seed, 0, i] for i in range(scfg.interval_count)])
-    if not scfg.drift_phase:
-        return v_hat
-    phis = [float(np.random.default_rng([scfg.seed, 1, i]).uniform(0.0, TWO_PI))
-            for i in range(scfg.interval_count)]
-    return CovarianceMatrix(n, np.array([CovarianceMatrix(n, v).rotate(np.full(n, phi)).v
-                                         for v, phi in zip(v_hat.v, phis)]))
+    return v_hat.rotate(_drift_angles(scfg, v_model.n_modes))
 
 
 def _run_multimode(scfg, out_dir):
@@ -670,16 +655,6 @@ def run_scenario(config_path):
 # Ready-made demo scenarios
 
 
-_DEMO_COMMON = """\
-# Measurement chain: phase-insensitive amplification with calibrated
-# uncertainties (sigma_gain_rel is the relative gain error).
-amplifier:
-  gain_db: 80.0
-  added_photons: 12.0
-  sigma_gain_rel: 0.01
-  sigma_noise_photons: 0.1
-"""
-
 _DEMO_CONFIGS = {
     "twomode": """\
 # Two-mode squeezing sweep: one pump at the pair's sum-frequency midpoint,
@@ -758,7 +733,14 @@ coupling:
 environment:
   temp_k: 0.007
 
-""" + _DEMO_COMMON + """
+# Measurement chain: phase-insensitive amplification with calibrated
+# uncertainties (sigma_gain_rel is the relative gain error).
+amplifier:
+  gain_db: 80.0
+  added_photons: 12.0
+  sigma_gain_rel: 0.01
+  sigma_noise_photons: 0.1
+
 sampling:
   n_samples: 100000
   interval_count: 75

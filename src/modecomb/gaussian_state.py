@@ -44,10 +44,10 @@ class CovarianceMatrix:
     """Real symmetric quadrature covariance matrix, interleaved basis.
 
     ``v`` may carry leading axes that stack matrices (one per probe point);
-    each one is checked for symmetry on its own scale. ``amplify``,
-    ``deamplify``, ``covariance_sem`` and ``correlation_quantity`` take
-    stacks; the methods take one matrix and raise DimensionMismatchError on
-    a stack.
+    each one is checked for symmetry on its own scale. ``rotate``,
+    ``amplify``, ``deamplify``, ``covariance_sem`` and
+    ``correlation_quantity`` take stacks; the other methods take one matrix
+    and raise DimensionMismatchError on a stack.
     """
 
     n_modes: int
@@ -93,12 +93,14 @@ class CovarianceMatrix:
         return CovarianceMatrix(len(mode_positions), v[np.ix_(idx, idx)])
 
     def rotate(self, angles):
-        """Apply per-mode quadrature rotations (drift compensation, decorrelation)."""
-        v = self._single("rotate")
+        """Apply per-mode quadrature rotations (drift compensation, decorrelation).
+
+        Angles of shape (..., N) broadcast against the leading axes of ``v``.
+        """
         r = mode_rotation(angles)
-        if r.shape != v.shape:
+        if r.shape[-1] != self.v.shape[-1]:
             raise DimensionMismatchError("need one rotation angle per mode")
-        return CovarianceMatrix(self.n_modes, r @ v @ r.T)
+        return CovarianceMatrix(self.n_modes, r @ self.v @ np.swapaxes(r, -1, -2))
 
 
 def thermal_covariance(modes, temperature):
@@ -341,35 +343,39 @@ def sample_covariance(v, n_rows, seed):
       S = sum s_i.
 
     That is d (d + 1) / 2 + d random numbers per interval instead of m d.
-    Identical seeds give identical results.
+    It is the one-pool case of ``sample_covariance_stack``.  Identical
+    seeds give identical results.
     """
     d = 2 * v.n_modes
-    root = _psd_root(v.v).reshape(-1, d, d)
-    k, m = root.shape[0], int(n_rows)
-    if m < 1 or k * m < 2:
-        raise EmptySamplesError("need at least two rows for a covariance")
-    a, z = _bartlett_normals(np.random.default_rng(seed), k, d, m - 1)
-    return CovarianceMatrix(v.n_modes, _pooled_scatter(root, a, z, m, pooled=True)[0])
+    pool = CovarianceMatrix(v.n_modes, v.v.reshape(1, -1, d, d))
+    return CovarianceMatrix(v.n_modes, sample_covariance_stack(pool, n_rows, [seed]).v[0])
 
 
 def sample_covariance_stack(v, n_rows, seeds):
-    """One sample covariance per seed, all drawn from the one covariance ``v``.
+    """One pooled sample covariance per seed, as ``sample_covariance`` draws it.
 
-    Row i is bit for bit ``sample_covariance(v, n_rows, seeds[i])``: each
-    row draws its random numbers from its own ``default_rng(seeds[i])`` in
-    the same order, but the PSD root of ``v`` is taken once and the K rows
-    are assembled as one (K, 2N, 2N) stack.  Returns that stack as one
-    CovarianceMatrix.
+    ``v`` is one covariance, which each seed draws one interval of its own
+    from, or a (P, K, 2N, 2N) stack with one seed per pool: pool p pools
+    the K intervals v[p], each of ``n_rows`` rows.  Pool p is bit for bit
+    ``sample_covariance(v[p], n_rows, seeds[p])``: it draws its random
+    numbers from its own ``default_rng(seeds[p])`` in the same order, but
+    the PSD roots are taken in one call and the P pools are assembled as
+    one stack.  Returns that (P, 2N, 2N) stack as one CovarianceMatrix.
     """
     d = 2 * v.n_modes
-    root = _psd_root(v._single("sample_covariance_stack"))
-    m = int(n_rows)
-    if m < 2 or len(seeds) == 0:
-        raise EmptySamplesError("need at least one seed and two rows per covariance")
-    a, z = (np.concatenate(parts) for parts in zip(*(
-        _bartlett_normals(np.random.default_rng(seed), 1, d, m - 1) for seed in seeds)))
-    root = np.broadcast_to(root, (len(a), d, d))
-    return CovarianceMatrix(v.n_modes, _pooled_scatter(root, a, z, m, pooled=False))
+    if v.v.ndim not in (2, 4) or (v.v.ndim == 4 and len(v.v) != len(seeds)):
+        raise DimensionMismatchError(
+            f"need one covariance or a (pools, intervals) stack with one seed "
+            f"per pool, got shape {v.v.shape} and {len(seeds)} seeds")
+    root = _psd_root(v.v)
+    if root.ndim == 2:
+        root = np.broadcast_to(root, (len(seeds), 1, d, d))
+    k, m = root.shape[1], int(n_rows)
+    if len(seeds) == 0 or m < 1 or k * m < 2:
+        raise EmptySamplesError("need at least one seed and two rows per pool")
+    a, z = (np.stack(parts) for parts in zip(*(
+        _bartlett_normals(np.random.default_rng(seed), k, d, m - 1) for seed in seeds)))
+    return CovarianceMatrix(v.n_modes, _pooled_scatter(root, a, z, m))
 
 
 def _bartlett_normals(rng, k, d, dof):
@@ -388,18 +394,17 @@ def _bartlett_normals(rng, k, d, dof):
     return a, rng.standard_normal((k, d))
 
 
-def _pooled_scatter(root, a, z, m, pooled):
-    """ddof=1 sample covariances of K intervals of ``m`` rows each.
+def _pooled_scatter(root, a, z, m):
+    """ddof=1 sample covariance of each of P pools of K intervals, (P, d, d).
 
-    Interval i has the PSD root L_i = ``root[i]``, the Bartlett factor A_i
-    and the row sum s_i = sqrt(m) L_i z_i.  ``pooled`` gives the one
-    covariance of all K m rows about their grand mean, (1, d, d); otherwise
-    each interval is a pool of its own, (K, d, d).
+    Axis 0 of ``root``, ``a`` and ``z`` counts the pools, axis 1 the
+    intervals of each.  Interval (p, i) has ``m`` rows, the PSD root
+    L = ``root[p, i]``, the Bartlett factor A = ``a[p, i]`` and the row sum
+    s = sqrt(m) L ``z[p, i]``; each pool's covariance is taken about the
+    grand mean of its K m rows.
     """
     la = root @ a
-    sums = np.sqrt(m) * np.einsum("kij,kj->ki", root, z)
-    # axis 0 counts the pools, axis 1 the intervals in each
-    la, sums = (la[None], sums[None]) if pooled else (la[:, None], sums[:, None])
+    sums = np.sqrt(m) * np.einsum("pkij,pkj->pki", root, z)
     p, k, d, r = la.shape
     la = np.swapaxes(la, 1, 2).reshape(p, d, k * r)
     total = sums.sum(axis=1)
@@ -431,13 +436,15 @@ def drift_compensation_angle(cov, pair):
 
     The rotated correlator is harmonic in 2 alpha, so the maximizer is
     alpha = atan2(b, a) / 2 with a = <I_j I_k> - <Q_j Q_k> and
-    b = <I_j Q_k> + <Q_j I_k>.
+    b = <I_j Q_k> + <Q_j I_k>.  A float for one matrix, an array over the
+    leading axes of a stack.
     """
     v = cov.v
     j, k = _mode_pair(pair, cov.n_modes)
-    a = v[2 * j, 2 * k] - v[2 * j + 1, 2 * k + 1]
-    b = v[2 * j, 2 * k + 1] + v[2 * j + 1, 2 * k]
-    return 0.5 * np.arctan2(b, a)
+    a = v[..., 2 * j, 2 * k] - v[..., 2 * j + 1, 2 * k + 1]
+    b = v[..., 2 * j, 2 * k + 1] + v[..., 2 * j + 1, 2 * k]
+    alpha = 0.5 * np.arctan2(b, a)
+    return float(alpha) if alpha.ndim == 0 else alpha
 
 
 def squeezing_stats(on, off, pair):
@@ -445,7 +452,8 @@ def squeezing_stats(on, off, pair):
 
     ``on`` and ``off`` are CovarianceMatrix objects: sample covariances give
     the measured ratios, model covariances the infinite-statistics
-    prediction.
+    prediction.  Floats (R_e, R_p) for one matrix each; for stacks, arrays
+    over their broadcast leading axes.
 
     Both states are first rotated by the drift-compensation angle that
     maximizes the pump-on <I_j I_k> correlator. R_e is then the ratio of the
@@ -455,22 +463,23 @@ def squeezing_stats(on, off, pair):
     state over vacuum gives sqrt(2) e^-r.
     """
     j, k = _mode_pair(pair, on.n_modes)
-    angles = np.zeros(on.n_modes)
-    angles[j] = angles[k] = drift_compensation_angle(on, pair)
+    alpha = drift_compensation_angle(on, pair)
+    angles = np.zeros(np.shape(alpha) + (on.n_modes,))
+    angles[..., j] = angles[..., k] = alpha
     on = on.rotate(angles).v
     off = off.rotate(angles).v
     # variances of I_j + I_k and I_j - I_k
-    diag = on[2 * j, 2 * j] + on[2 * k, 2 * k]
-    combos_on = np.array([diag + 2 * on[2 * j, 2 * k], diag - 2 * on[2 * j, 2 * k]])
-    low = int(np.argmin(combos_on))
-    if combos_on[low] <= 0:
+    diag = on[..., 2 * j, 2 * j] + on[..., 2 * k, 2 * k]
+    cross = 2 * on[..., 2 * j, 2 * k]
+    low, high = np.minimum(diag + cross, diag - cross), np.maximum(diag + cross, diag - cross)
+    if np.any(low <= 0):
         raise ZeroVarianceError("squeezed combination has zero variance")
-    r_e = float(np.sqrt(combos_on.max() / combos_on[low]))
-    ref = (off[2 * j, 2 * j] + off[2 * k, 2 * k]) / 2.0
-    if ref <= 0:
+    ref = (off[..., 2 * j, 2 * j] + off[..., 2 * k, 2 * k]) / 2.0
+    if np.any(ref <= 0):
         raise ZeroVarianceError("pump-off reference has zero variance")
-    r_p = float(np.sqrt(combos_on[low] / ref))
-    return r_e, r_p
+    r_e, r_p = np.sqrt(high / low), np.sqrt(low / ref)
+    # r_p carries the leading axes of both states
+    return (float(r_e), float(r_p)) if r_p.ndim == 0 else (r_e, r_p)
 
 
 def _gauss_legendre(n):

@@ -14,8 +14,11 @@ import pytest
 
 import modecomb
 from modecomb import CalibrationStore, CovarianceMatrix, sample
+from modecomb.bases import mode_rotation
 from modecomb.cli import (
+    _couplings_for,
     _interval_covariances,
+    _output_state,
     _jsonify,
     _write_covariance,
     _write_csv,
@@ -24,6 +27,8 @@ from modecomb.cli import (
     run_scenario,
     write_demo_config,
 )
+from modecomb.config import TWO_PI, validate_config
+from modecomb.coupling_graph import dressed_frequencies
 from modecomb.errors import ConfigError
 from modecomb.scattering import magnitude_db
 from test_gaussian_state import WISHART_V, drift_stack, rectangle_probabilities
@@ -238,6 +243,78 @@ def test_interval_stack_matches_one_draw_per_interval(count, drift_phase):
     assert stack.v.shape == (count, 8, 8)
     for i, row in enumerate(stack.v):
         assert np.array_equal(row, reference_interval_draw(v_model, scfg, i)), i
+
+
+def reference_twomode(scfg):
+    """The earlier per-detuning loop of the twomode pipeline, kept as an
+    oracle: each detuning on its own, its intervals turned by their drift
+    angles, one ``sample_covariance`` call per pump state, and the ratios
+    and histograms of one matrix or one interval stack at a time."""
+    sec, modes = scfg.section, scfg.system.modes
+    n, pair = len(modes), sec["pair"]
+    _, couplings = _couplings_for(scfg)
+    amp = scfg.amplifier.amplifier(n)
+    detunings = np.linspace(sec["detuning_start_hz"], sec["detuning_stop_hz"],
+                            sec["detuning_count"])
+    probes = np.tile(dressed_frequencies(modes, couplings), (len(detunings), 1))
+    probes[:, pair[0]] += TWO_PI * detunings
+    probes[:, pair[1]] -= TWO_PI * detunings
+    v_on_all, v_off_all = (modecomb.amplify(_output_state(scfg, c, probes), amp).v
+                           for c in (couplings, {}))
+    rows_per_state = 2 * scfg.n_samples
+    rows = []
+    for d_idx in range(len(detunings)):
+        v_on, v_off = CovarianceMatrix(n, v_on_all[d_idx]), CovarianceMatrix(n, v_off_all[d_idx])
+        phis = np.zeros(scfg.interval_count)
+        if scfg.drift_phase:
+            phis = np.array([np.random.default_rng([scfg.seed, 1, d_idx, i]).uniform(0.0, TWO_PI)
+                             for i in range(scfg.interval_count)])
+        r = mode_rotation(np.repeat(phis[:, None], n, axis=1))
+        on, off = (CovarianceMatrix(n, r @ v.v @ np.swapaxes(r, -1, -2)) for v in (v_on, v_off))
+        r_e, r_p = modecomb.squeezing_stats(*(
+            modecomb.sample_covariance(v, rows_per_state, [scfg.seed, 2, d_idx, state])
+            for state, v in enumerate((on, off))), pair)
+        r_e_model, r_p_model = modecomb.squeezing_stats(v_on, v_off, pair)
+        row = {"r_e": r_e, "r_p": r_p, "r_e_model": r_e_model, "r_p_model": r_p_model,
+               "v_on": v_on.v, "v_off": v_off.v}
+        if d_idx in sec["histogram_detunings"]:
+            row["hists"] = modecomb.histogram2d_subtracted(
+                on, off, pair, rows_per_state, [scfg.seed, 3, d_idx],
+                bin_width=sec["histogram_bin"], span=sec["histogram_span"])
+        rows.append(row)
+    return rows
+
+
+def read_floats(path):
+    """The numeric cells of a CSV artifact, header and label columns dropped."""
+    with open(path, newline="") as fh:
+        table = list(csv.reader(fh))[1:]
+    return np.array([[float(x) for x in row[1:]] for row in table]), [row[0] for row in table]
+
+
+@pytest.mark.parametrize("drift_phase", [False, True])
+def test_twomode_pass_matches_one_detuning_at_a_time(tmp_path, drift_phase):
+    cfg = SMALL_TWOMODE.replace(
+        "  interval_count: 2\n", f"  interval_count: 2\n  drift_phase: {str(drift_phase).lower()}\n"
+    ).replace("histogram_detunings: [1]", "histogram_detunings: [0, 2]")
+    path = write_config(tmp_path, cfg)
+    report = run_scenario(path)
+    scfg = validate_config(load_config(path)[0], config_path=str(path))
+    assert scfg.drift_phase is drift_phase
+    rows = reference_twomode(scfg)
+    for key in ("r_e", "r_p", "r_e_model", "r_p_model"):
+        assert report.metrics[key] == [row[key] for row in rows], key
+    for d_idx in (0, 2):
+        got, labels = read_floats(os.path.join(report.output_dir, f"histograms_d{d_idx:02d}.csv"))
+        hists = rows[d_idx]["hists"]
+        assert labels == [a for a in sorted(hists) for _ in range(hists[a].counts[0].size)]
+        want = np.vstack([np.column_stack([*h.counts.reshape(2, -1),
+                                           *np.round(h.expected, 6).reshape(2, -1)])
+                          for _, h in sorted(hists.items())])
+        assert np.array_equal(got[:, [4, 5, 7, 8]], want), d_idx
+    for state in ("on", "off"):
+        got, _ = read_floats(os.path.join(report.output_dir, f"covariance_{state}_model.csv"))
+        assert np.array_equal(got, rows[1][f"v_{state}"]), state
 
 
 def test_twomode_drift_phase_run(tmp_path):

@@ -290,14 +290,34 @@ def test_sample_covariance_stack_rows_are_single_draws(m):
         assert np.array_equal(row, sample_covariance(v, m, seed).v)
 
 
+@pytest.mark.parametrize("m", [1, 5, 100_000])
+def test_sample_covariance_stack_pools_are_one_pool_draws(m):
+    # pool p of a (P, K) stack is bit for bit the pooled draw of its K
+    # intervals, also with one row per interval and for the singular Wishart
+    v = CovarianceMatrix(4, 1e8 * np.stack([drifted(3), 2.0 * drifted(3)[::-1]]))
+    seeds = [[9, 1, p] for p in range(2)]
+    stack = sample_covariance_stack(v, m, seeds)
+    assert stack.v.shape == (2, 8, 8)
+    for p, seed in enumerate(seeds):
+        assert np.array_equal(stack.v[p], sample_covariance(CovarianceMatrix(4, v.v[p]), m, seed).v)
+
+
 def test_sample_covariance_stack_checks():
     v = CovarianceMatrix(4, WISHART_V)
+    pools = CovarianceMatrix(4, np.stack([drifted(3), drifted(3)]))
+    # K m rows per pool must be at least two
     with pytest.raises(EmptySamplesError):
         sample_covariance_stack(v, 1, [[1]])
     with pytest.raises(EmptySamplesError):
+        sample_covariance_stack(CovarianceMatrix(4, drifted(1)[None]), 1, [[1]])
+    assert sample_covariance_stack(pools, 1, [[1], [2]]).v.shape == (2, 8, 8)
+    with pytest.raises(EmptySamplesError):
         sample_covariance_stack(v, 10, [])
-    with pytest.raises(DimensionMismatchError):
-        sample_covariance_stack(CovarianceMatrix(4, drifted(2)), 10, [[1], [2]])
+    # one seed per pool, and a stack must say which axis holds the pools
+    for stack, seeds in ((pools, [[1]]), (pools, [[1], [2], [3]]),
+                         (CovarianceMatrix(4, drifted(2)), [[1], [2]])):
+        with pytest.raises(DimensionMismatchError, match="one seed per pool"):
+            sample_covariance_stack(stack, 10, seeds)
 
 
 def test_drift_compensation_angle_recovery():
@@ -321,6 +341,37 @@ def test_squeezing_stats_against_ideal_tms():
     assert r_e == pytest.approx(np.exp(2.0 * r), rel=0.02)
     # single-mode reference: ideal TMS gives sqrt(2) e^{-r}
     assert r_p == pytest.approx(np.sqrt(2.0) * np.exp(-r), rel=0.02)
+
+
+def test_stacked_rotation_and_squeezing_match_one_matrix_calls():
+    rng = np.random.default_rng(41)
+    # one matrix: the dense product with the rotation matrix itself
+    angles = rng.uniform(-np.pi, np.pi, 4)
+    r = mode_rotation(angles)
+    turned = CovarianceMatrix(4, WISHART_V).rotate(angles)
+    assert np.array_equal(turned.v, CovarianceMatrix(4, r @ WISHART_V @ r.T).v)
+    # angles (3, 5, N) broadcast against a (3, 1) stack of matrices
+    v = drifted(3)
+    angles = rng.uniform(-np.pi, np.pi, (3, 5, 4))
+    turned = CovarianceMatrix(4, v[:, None]).rotate(angles)
+    assert turned.v.shape == (3, 5, 8, 8)
+    for p in range(3):
+        for k in range(5):
+            one = CovarianceMatrix(4, v[p]).rotate(angles[p, k]).v
+            assert np.array_equal(turned.v[p, k], one), (p, k)
+    # a (2, 3) stack of pump-on and pump-off states of the pair (3, 1)
+    on = CovarianceMatrix(4, np.stack([v, 2.0 * v[::-1]]))
+    off = CovarianceMatrix(4, np.eye(8) * rng.uniform(1.0, 3.0, (2, 3, 1, 1)))
+    pair = (3, 1)
+    alpha = drift_compensation_angle(on, pair)
+    r_e, r_p = squeezing_stats(on, off, pair)
+    assert alpha.shape == r_e.shape == r_p.shape == (2, 3)
+    for i in np.ndindex(2, 3):
+        one_on, one_off = CovarianceMatrix(4, on.v[i]), CovarianceMatrix(4, off.v[i])
+        one_alpha = drift_compensation_angle(one_on, pair)
+        one_r_e, one_r_p = squeezing_stats(one_on, one_off, pair)
+        assert type(one_alpha) is type(one_r_e) is type(one_r_p) is float
+        assert (alpha[i], r_e[i], r_p[i]) == (one_alpha, one_r_e, one_r_p), i
 
 
 def column_squeezing_ratios(on, off, pair):
@@ -353,7 +404,6 @@ def test_single_matrix_methods_reject_stacks(tmp_path):
     for call in (
         stack.min_physicality_eigenvalue,
         lambda: stack.submatrix([1]),
-        lambda: stack.rotate([0.1, 0.2]),
         lambda: _write_covariance(tmp_path, "stack.csv", stack),
     ):
         with pytest.raises(DimensionMismatchError, match="stack"):
@@ -361,6 +411,7 @@ def test_single_matrix_methods_reject_stacks(tmp_path):
     assert not (tmp_path / "stack.csv").exists()
     # the stack-aware functions still take it
     assert correlation_quantity(stack).shape == (4,)
+    assert stack.rotate([0.1, 0.2]).v.shape == (4, 4, 4)
     assert amplify(stack, AmplifierModel.uniform(2, 4.0, 0.0)).v.shape == (4, 4, 4)
 
 
